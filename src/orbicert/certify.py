@@ -1,11 +1,16 @@
 """Verification drivers: stabilizer scans, digraph-group witnesses, prime scan.
 
+The 2x2 factor lives in PGL(2,p), since (A, B) and (kA, k^-1 B) act alike:
+stabilizers and witness searches are row filters on ``pgl2_points``, and
+GL(2,p) figures in the reports are class counts times the p-1 scalars.
+
 Witness matrices are shipped as data (a manifest keyed by prime and
 suborbit union) so that a bad entry fails certification loudly instead of
 silently.  Where a manifest entry fails its own check, the driver falls
-back to an exhaustive minimal-witness search over GL(2,p) and records the
-replacement next to the failed entry; certification only fails when no
-witness exists at all.
+back to an exhaustive minimal-witness search over the table and records
+the replacement next to the failed entry; certification only fails when
+no witness exists at all.  Every witness, searched or stated, is checked
+on the vertices of its union by ``preserves_set``.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import numpy as np
 
 from .cliques import DEFAULT_SEED, MuConfig, verify_clique_axioms
 from .digraphs import (
-    ConnectionSet,
     complement_labels,
     hamming_witness,
     orbital_union_set,
@@ -34,15 +38,20 @@ from .errors import (
 from .fields import INFINITY, is_prime
 from .groups import (
     LinPart,
-    d8_elements,
     g0_contains,
     label_directions,
     lambda_classes,
     nontrivial_labels,
+    v4_representatives,
 )
-from .matrices import Matrix, gl2_array, gl2_count, num_vertices
-
-STABILIZER_MAX_P = 200
+from .matrices import (
+    Matrix,
+    gl2_count,
+    num_vertices,
+    pgl2_points,
+    pgl2_setwise_rows,
+    point_code,
+)
 
 
 @dataclass(frozen=True)
@@ -55,12 +64,13 @@ class DirectionSet:
     def __post_init__(self):
         if not self.points:
             raise ValueError("direction set must be nonempty")
-        seen = set()
-        for d in self.points:
-            key = "inf" if d is INFINITY else int(d) % self.p
-            if key in seen:
-                raise ValueError("duplicate direction")
-            seen.add(key)
+        if len(set(self.codes)) != len(self.points):
+            raise ValueError("duplicate direction")
+
+    @property
+    def codes(self) -> tuple[int, ...]:
+        """Point codes on the projective line (INFINITY is p)."""
+        return tuple(point_code(d, self.p) for d in self.points)
 
     @property
     def realized(self) -> frozenset[tuple[int, int]]:
@@ -97,41 +107,33 @@ class Certificate:
         }
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    out = fn()
-    return out, (time.perf_counter() - start) * 1000.0
-
-
 # ---------------------------------------------------------------------------
-# setwise stabilizers in GL(2,p)
+# setwise stabilizers in GL(2,p), computed in PGL(2,p)
+
+
+def _gl_lift(rows, p: int) -> list[Matrix]:
+    """The p-1 scalar multiples of each table row, in lexicographic order."""
+    reps, _ = pgl2_points(p)
+    lift = (Matrix(reps[r], p).scaled(k) for r in rows for k in range(1, p))
+    return sorted(lift, key=lambda m: m.entries)
+
+
+def _v4_rows(p: int) -> frozenset[int]:
+    """Table rows of the dihedral group modulo scalars."""
+    reps, _ = pgl2_points(p)
+    v4 = np.array([m.entries for m in v4_representatives(p)])
+    hit = (reps[:, None] == v4).all(axis=(2, 3)).any(axis=1)
+    return frozenset(np.nonzero(hit)[0].tolist())
 
 
 def setwise_stabilizer_gl2(ds: DirectionSet) -> list[Matrix]:
     """All A in GL(2,p) mapping the realized vector set onto itself.
 
-    Full enumeration; the vectorized filter maps the whole vector set
-    through every matrix at once.  Note every stabilizer necessarily
-    contains the p-1 scalar matrices, since one-spaces are scalar-closed.
+    The realized set is a union of one-spaces, so A stabilizes it iff its
+    class permutes the directions; every stabilizer therefore holds the
+    p-1 scalar multiples of each of its classes.
     """
-    p = ds.p
-    if p > STABILIZER_MAX_P:
-        raise ParameterTooLarge(f"stabilizer scan gated to p <= {STABILIZER_MAX_P}")
-    mats = gl2_array(p)
-    vecs = np.array(sorted(ds.realized), dtype=np.int64)
-    target = np.sort(vecs[:, 0] * p + vecs[:, 1])
-    imgs = np.einsum("ri,nij->nrj", vecs, mats) % p
-    codes = np.sort(imgs[:, :, 0] * p + imgs[:, :, 1], axis=1)
-    keep = (codes == target[None, :]).all(axis=1)
-    return [Matrix(tuple(map(tuple, mm)), p) for mm in mats[keep]]
-
-
-def scalar_closure_of_d8(p: int) -> frozenset[Matrix]:
-    """{k M : k nonzero, M dihedral}; the 2x2 parts indistinguishable from
-    dihedral ones under the (A,B) ~ (kA, k^-1 B) rescaling."""
-    return frozenset(
-        m.scaled(k) for m in d8_elements(p) for k in range(1, p)
-    )
+    return _gl_lift(pgl2_setwise_rows(ds.codes, ds.p), ds.p)
 
 
 def stabilizer_intersection_report(sets: list[DirectionSet], p: int) -> dict:
@@ -139,23 +141,23 @@ def stabilizer_intersection_report(sets: list[DirectionSet], p: int) -> dict:
 
     The pinning claim that certifies 2-closure is: the intersection equals
     the scalar closure of the dihedral group exactly (so every element is
-    k M and acts on the tensor space as M does).
+    k M and acts on the tensor space as M does).  Each class stands for
+    p-1 matrices, and for 2 of the 8 dihedral ones.
     """
-    stabs = [frozenset(setwise_stabilizer_gl2(ds)) for ds in sets]
+    stabs = [frozenset(pgl2_setwise_rows(ds.codes, p).tolist()) for ds in sets]
     inter = frozenset.intersection(*stabs)
-    zcl = scalar_closure_of_d8(p)
-    d8 = set(d8_elements(p).elements)
+    v4 = _v4_rows(p)
     return {
         "direction_sets": [ds.describe() for ds in sets],
-        "stabilizer_orders": [len(s) for s in stabs],
+        "stabilizer_orders": [len(s) * (p - 1) for s in stabs],
         "gl2_enumerated": gl2_count(p),
-        "intersection_order": len(inter),
-        "scalar_closure_order": len(zcl),
-        "intersection_equals_scalar_closure_of_d8": inter == zcl,
-        "dihedral_core_size": len(inter & d8),
-        "extra_elements_sample": sorted(
-            [list(map(list, m.entries)) for m in inter - zcl]
-        )[:3],
+        "intersection_order": len(inter) * (p - 1),
+        "scalar_closure_order": len(v4) * (p - 1),
+        "intersection_equals_scalar_closure_of_d8": inter == v4,
+        "dihedral_core_size": 2 * len(inter & v4),
+        "extra_elements_sample": [
+            list(map(list, m.entries)) for m in _gl_lift(inter - v4, p)[:3]
+        ],
     }
 
 
@@ -331,28 +333,23 @@ def hamming_capable(token: str, p: int) -> tuple | None:
     return None
 
 
-def search_linear_witness(union_set: ConnectionSet, m: int, p: int) -> Matrix | None:
-    """First (enumeration order) linear witness preserving the union.
+def search_linear_witness(tokens, p: int) -> Matrix | None:
+    """First (GL(2,p) lexicographic order) linear witness for a union.
 
-    Chunk-vectorized over GL(2,p): maps the whole member set through a
-    block of matrices at once and keeps the first preserving matrix that
-    is not a scalar multiple of a dihedral element.
+    (A, I) fixes rank, so it preserves a union of suborbits iff A permutes
+    the directions of the union's simple suborbits (all but B).  Returns
+    the first table row that does and is not a dihedral class; preserving
+    and being dihedral up to scalars are scalar-invariant, so this is the
+    first such matrix of GL(2,p).  Callers check it on the vertices.
     """
-    from .matrices import all_coords, encode_array
-
-    mats = gl2_array(p)
-    zcl = {mm.entries for mm in scalar_closure_of_d8(p)}
-    coords_members = all_coords(m, p)[union_set.members]
-    chunk = max(1, 4_000_000 // max(1, len(union_set)))
-    for lo in range(0, mats.shape[0], chunk):
-        block = mats[lo : lo + chunk]
-        imgs = np.einsum("nik,rij->nrkj", block, coords_members) % p
-        ok = union_set.mask[encode_array(imgs, p)].all(axis=1)
-        for off in np.nonzero(ok)[0]:
-            key = tuple(map(tuple, block[off]))
-            if key not in zcl:
-                return Matrix(key, p)
-    return None
+    codes = [
+        point_code(d, p) for t in tokens if t != "B" for d in label_directions(t, p)
+    ]
+    v4 = _v4_rows(p)
+    row = next((r for r in pgl2_setwise_rows(codes, p).tolist() if r not in v4), None)
+    if row is None:
+        return None
+    return Matrix(pgl2_points(p)[0][row], p)
 
 
 def _certify_one_union(
@@ -404,7 +401,7 @@ def _certify_one_union(
             # stated matrix failed: fail loudly, then search a replacement
             repl = witness_cache.get(key)
             if repl is None:
-                repl = search_linear_witness(orbital_union_set(tk, m, p), m, p)
+                repl = search_linear_witness(tk, p)
                 witness_cache[key] = repl
             if repl is not None:
                 out = finish_linear(
@@ -469,7 +466,7 @@ def _certify_one_union(
                     got["complement_of"] = sorted(comp)
                     return got
         # last resort: exhaustive linear search on this union
-        repl = search_linear_witness(union_set, m, p)
+        repl = search_linear_witness(tokens, p)
         if repl is not None:
             return finish_linear(repl, "linear", note="found by exhaustive search")
         return None
@@ -506,7 +503,7 @@ def certify_not_digraph_group(p: int, m: int, jobs: int = 1) -> Certificate:
         own = orbital_union_set(tk, m, p)
         mat = _mat(p, rows)
         if not (preserves_set(LinPart(mat, ident), own) and not g0_contains(mat)):
-            witness_cache[(p, tk)] = search_linear_witness(own, m, p)
+            witness_cache[(p, tk)] = search_linear_witness(tk, p)
 
     entries: list[dict] = []
     if jobs > 1:

@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from .errors import DegenerateQuad, TableViolation
+from .errors import DegenerateQuad, InvalidConfig, TableViolation
 from .fields import INFINITY, fp_inv
 from .matrices import Matrix
 
@@ -151,78 +151,48 @@ def fractional_action(mat: Matrix, value, p: int):
 def verify_table1(p: int) -> dict:
     """Exhaustive check of the permutation table over GF(p) + INFINITY.
 
-    Every ordered pairwise-distinct quadruple is pushed through all 24
+    Every ordered pairwise-distinct quadruple of the p+1 points (point
+    codes 0..p-1 for the slopes, p for INFINITY) is pushed through all 24
     permutations; both evaluation routes (direct recomputation versus the
-    formula of the row) must agree.  Vectorized over the finite-slope part
-    with the infinity cases handled by the scalar path.
+    formula of the row) must agree.  One vectorized pass evaluates the
+    cross-ratio as a ratio of determinants of homogeneous lifts.
     """
     if p < 5:
-        raise ValueError("need at least 5 points on the line")
-    pts = projective_line(p)
-    n_quads = 0
+        raise InvalidConfig(f"the table needs at least 6 points on the line, p={p}")
+    line = np.array([homogeneous(t, p) for t in projective_line(p)], dtype=np.int64)
+    quads = np.array(list(itertools.permutations(range(p + 1), 4)), dtype=np.int64)
+    inv = np.array([0] + [fp_inv(v, p) for v in range(1, p)], dtype=np.int64)
 
-    # vectorized: all-finite quads via determinant arithmetic
-    finite = np.arange(p, dtype=np.int64)
-    a, b, c, d = np.meshgrid(finite, finite, finite, finite, indexing="ij")
-    quads = np.stack([a.ravel(), b.ravel(), c.ravel(), d.ravel()], axis=1)
-    distinct = (
-        (quads[:, 0] != quads[:, 1])
-        & (quads[:, 0] != quads[:, 2])
-        & (quads[:, 0] != quads[:, 3])
-        & (quads[:, 1] != quads[:, 2])
-        & (quads[:, 1] != quads[:, 3])
-        & (quads[:, 2] != quads[:, 3])
-    )
-    quads = quads[distinct]
-    inv_table = np.array([0] + [fp_inv(v, p) for v in range(1, p)], dtype=np.int64)
+    def det(i, j, q):
+        u, v = line[q[:, i]], line[q[:, j]]
+        return (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]) % p
 
-    def cr_vec(q):
-        num = (q[:, 2] - q[:, 0]) * (q[:, 3] - q[:, 1]) % p
-        den = (q[:, 2] - q[:, 1]) * (q[:, 3] - q[:, 0]) % p
-        assert (den != 0).all()  # pairwise-distinct finite quads
-        return num * inv_table[den] % p
+    def cr(q):
+        den = det(1, 2, q) * det(0, 3, q) % p
+        assert den.all()  # pairwise-distinct points
+        return det(0, 2, q) * det(1, 3, q) % p * inv[den] % p
 
-    r = cr_vec(quads)
+    r = cr(quads)
     assert not np.isin(r, [0, 1]).any()
+    formulas = {
+        "r": r,
+        "r/(r-1)": r * inv[(r - 1) % p] % p,
+        "1-r": (1 - r) % p,
+        "1/r": inv[r],
+        "1/(1-r)": inv[(1 - r) % p],
+        "(r-1)/r": (r - 1) % p * inv[r] % p,
+    }
     for sigma, row in PERMUTATION_ROWS.items():
-        direct = cr_vec(quads[:, list(sigma)])
-        if row == "r":
-            formula = r
-        elif row == "r/(r-1)":
-            formula = r * inv_table[(r - 1) % p] % p
-        elif row == "1-r":
-            formula = (1 - r) % p
-        elif row == "1/r":
-            formula = inv_table[r]
-        elif row == "1/(1-r)":
-            formula = inv_table[(1 - r) % p]
-        else:
-            formula = (r - 1) % p * inv_table[r] % p
-        bad = np.nonzero(direct != formula)[0]
+        direct = cr(quads[:, list(sigma)])
+        bad = np.nonzero(direct != formulas[row])[0]
         if bad.size:
-            q = tuple(int(v) for v in quads[bad[0]])
-            raise TableViolation(sigma, q, int(formula[bad[0]]), int(direct[bad[0]]))
-    n_quads += quads.shape[0]
-
-    # quads involving INFINITY: scalar path
-    for positions in range(4):
-        for rest in itertools.permutations(range(p), 3):
-            quad = list(rest)
-            quad.insert(positions, INFINITY)
-            quad = tuple(quad)
-            r0 = cross_ratio(quad, p)
-            for sigma, row in PERMUTATION_ROWS.items():
-                direct = cross_ratio(permute_quad(sigma, quad), p)
-                formula = apply_formula(row, r0, p)
-                if direct != formula:
-                    raise TableViolation(sigma, quad, formula, direct)
-            n_quads += 1
-
-    expected = (p + 1) * p * (p - 1) * (p - 2)
-    assert n_quads == expected, (n_quads, expected)
+            i = bad[0]
+            quad = tuple(projective_line(p)[k] for k in quads[i])
+            raise TableViolation(sigma, quad, int(formulas[row][i]), int(direct[i]))
+    assert quads.shape[0] == (p + 1) * p * (p - 1) * (p - 2)
     return {
         "p": p,
-        "quads_checked": n_quads,
+        "quads_checked": quads.shape[0],
         "permutations": 24,
         "status": "pass",
     }

@@ -17,6 +17,7 @@ from .errors import (
     EmptyUnion,
     ParameterTooLarge,
 )
+from .crossratio import homogeneous
 from .fields import INFINITY
 from .matrices import (
     Matrix,
@@ -29,13 +30,6 @@ from .matrices import (
 from .groups import LinPart, nontrivial_labels, suborbit_indices
 
 BFS_MAX_VERTICES = 10**6
-
-
-def direction_vector(d, p: int) -> tuple[int, int]:
-    """Representative vector of a projective direction: slope mu or INFINITY."""
-    if d is INFINITY:
-        return (0, 1)
-    return (1, int(d) % p)
 
 
 class ConnectionSet:
@@ -82,13 +76,6 @@ class ConnectionSet:
 def negation_map(m: int, p: int) -> np.ndarray:
     """Vertex permutation x |-> -x."""
     return encode_array((-all_coords(m, p)) % p, p)
-
-
-def addition_map(s_index: int, m: int, p: int) -> np.ndarray:
-    """Vertex permutation x |-> x + s."""
-    coords = all_coords(m, p)
-    s = coords[int(s_index)]
-    return encode_array((coords + s) % p, p)
 
 
 def difference_index(x: int, y: int, m: int, p: int) -> int:
@@ -199,15 +186,6 @@ class VertexPermutation:
     def __call__(self, idx: int) -> int:
         return int(self.mapping[int(idx)])
 
-    def compose(self, then: "VertexPermutation") -> "VertexPermutation":
-        """Apply self first, then ``then``."""
-        return VertexPermutation(then.mapping[self.mapping], self.m, self.p)
-
-    def inverse(self) -> "VertexPermutation":
-        inv = np.empty_like(self.mapping)
-        inv[self.mapping] = np.arange(self.mapping.size)
-        return VertexPermutation(inv, self.m, self.p)
-
     def fixes_zero(self) -> bool:
         return self.mapping[0] == 0
 
@@ -263,8 +241,8 @@ def hamming_coordinates(d1, d2, m: int, p: int) -> tuple[np.ndarray, np.ndarray]
     """
     if d1 == d2 or (d1 is INFINITY and d2 is INFINITY):
         raise BadDecomposition("directions must be distinct")
-    v1 = direction_vector(d1, p)
-    v2 = direction_vector(d2, p)
+    v1 = homogeneous(d1, p)
+    v2 = homogeneous(d2, p)
     mat = Matrix(((v1[0], v2[0]), (v1[1], v2[1])), p)
     if not mat.is_invertible():
         raise BadDecomposition("directions do not span the 2-dimensional factor")

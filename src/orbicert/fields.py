@@ -89,6 +89,8 @@ def fp_inv(a: int, p) -> int:
         q = hi // lo
         x0, x1 = x1 - q * x0, x0
         lo, hi = hi - q * lo, lo
+    if lo == 0:  # gcd(a, p) = hi > 1
+        raise ZeroInverse(f"{a} has no inverse mod {p}")
     return x0 % p
 
 

@@ -24,6 +24,7 @@ from .matrices import (
     mat_mul,
     mat_rank,
     num_vertices,
+    scalar_normalize,
     simple_factorize,
     tensor_apply,
 )
@@ -115,23 +116,14 @@ class LinPart:
 
     def canonical(self) -> tuple[Matrix, Matrix]:
         """Scalar-normalized representative: first nonzero entry of A is 1."""
-        flat = [v for row in self.a.entries for v in row]
-        c = next(v for v in flat if v)
-        cinv = fp_inv(c, self.p)
-        return self.a.scaled(cinv), self.b.scaled(c)
+        a, c = scalar_normalize(self.a)
+        return a, self.b.scaled(c)
 
     def same_map(self, other: "LinPart") -> bool:
         return self.canonical() == other.canonical()
 
     def apply(self, x: Tensor) -> Tensor:
         return tensor_apply(self.a, self.b, x)
-
-    def inverse(self) -> "LinPart":
-        return LinPart(mat_inv(self.a), mat_inv(self.b))
-
-    def compose(self, then: "LinPart") -> "LinPart":
-        """Right-action composition: apply self first, ``then`` second."""
-        return LinPart(mat_mul(self.a, then.a), mat_mul(self.b, then.b))
 
 
 @dataclass(frozen=True)
@@ -145,6 +137,12 @@ class AffineElem:
         return self.linear.apply(x) + self.translation
 
 
+@lru_cache(maxsize=64)
+def v4_representatives(p: int) -> frozenset[Matrix]:
+    """The dihedral group modulo scalars: its 8 matrices normalized, 4 classes."""
+    return frozenset(scalar_normalize(m)[0] for m in d8_elements(p))
+
+
 def g0_contains(lin) -> bool:
     """Point-stabilizer membership: some k != 0 scales the 2x2 part into D8.
 
@@ -152,13 +150,7 @@ def g0_contains(lin) -> bool:
     any scalar is absorbed into the general linear factor).
     """
     a = lin.a if isinstance(lin, LinPart) else lin
-    p = a.p
-    for m in d8_elements(p):
-        i, j = next((i, j) for i in range(2) for j in range(2) if m[i, j])
-        k = a[i, j] * fp_inv(m[i, j], p) % p
-        if k != 0 and m.scaled(k) == a:
-            return True
-    return False
+    return scalar_normalize(a)[0] in v4_representatives(a.p)
 
 
 # ---------------------------------------------------------------------------

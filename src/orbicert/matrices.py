@@ -1,4 +1,4 @@
-"""Matrices over GF(p), GL(2,p) enumeration, and 2 x m tensor coordinates.
+"""Matrices over GF(p), GL(2,p) and PGL(2,p), and 2 x m tensor coordinates.
 
 Conventions fixed once for the whole toolkit:
 
@@ -22,7 +22,7 @@ from .errors import (
     Singular,
     ZeroTensor,
 )
-from .fields import fp_inv
+from .fields import INFINITY, fp_inv
 
 GL2_ENUM_MAX_P = 200
 
@@ -200,17 +200,59 @@ def gl2_enumerate(p: int):
                     yield Matrix(((a, b), (c, d)), p)
 
 
+# PGL(2,p) tables above this size are refused before they are allocated
+# (p <= 47 fits under 64 MiB).
+PGL2_TABLE_MAX_BYTES = 64 * 2**20
+
+
+def point_code(value, p: int) -> int:
+    """Code of a point of the projective line: slope t -> t, INFINITY -> p."""
+    return p if value is INFINITY else int(value) % p
+
+
 @lru_cache(maxsize=16)
-def gl2_array(p: int) -> np.ndarray:
-    """All of GL(2,p) as an (n, 2, 2) array (fast path for stabilizer scans)."""
-    if p > GL2_ENUM_MAX_P:
-        raise ParameterTooLarge(f"GL(2,{p}) enumeration gated to p <= {GL2_ENUM_MAX_P}")
-    grid = np.indices((p, p, p, p)).reshape(4, -1).T
-    det = (grid[:, 0] * grid[:, 3] - grid[:, 1] * grid[:, 2]) % p
-    mats = grid[det != 0].reshape(-1, 2, 2).astype(np.int64)
-    mats.flags.writeable = False
-    assert mats.shape[0] == gl2_count(p)
-    return mats
+def pgl2_points(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """PGL(2,p) and its action on the p+1 points of the projective line.
+
+    Returns (reps, perms).  reps is the (N, 2, 2) array of the
+    N = p(p^2-1) normalized representatives (first nonzero entry 1), in
+    lexicographic (a, b, c, d) order; perms[r, k] is the point code of the
+    image of point k under the row action v -> v reps[r].  A class's
+    normalized representative is its lexicographically first member, so
+    the first row passing a scalar-invariant filter holds the first
+    matrix of ``gl2_enumerate`` order that passes it.
+    """
+    n = p * (p * p - 1)
+    nbytes = n * (4 + p + 1) * np.dtype(np.int64).itemsize
+    if nbytes > PGL2_TABLE_MAX_BYTES:
+        raise ParameterTooLarge(f"PGL(2,{p}) table of {nbytes} bytes refused")
+    # a = 0 forces b = 1 and c != 0; a = 1 leaves every (b, c, d) with d != bc
+    a_zero = np.indices((1, 1, p - 1, p), dtype=np.int64).reshape(4, -1).T + (0, 1, 1, 0)
+    a_one = np.indices((1, p, p, p), dtype=np.int64).reshape(4, -1).T + (1, 0, 0, 0)
+    a_one = a_one[(a_one[:, 3] - a_one[:, 1] * a_one[:, 2]) % p != 0]
+    reps = np.concatenate([a_zero, a_one]).reshape(n, 2, 2)
+    line = np.array([(1, t) for t in range(p)] + [(0, 1)], dtype=np.int64)
+    img = np.einsum("ki,nij->nkj", line, reps) % p
+    inv = np.array([0] + [fp_inv(v, p) for v in range(1, p)], dtype=np.int64)
+    perms = np.where(img[..., 0] == 0, p, img[..., 1] * inv[img[..., 0]] % p)
+    reps.flags.writeable = False
+    perms.flags.writeable = False
+    return reps, perms
+
+
+def pgl2_setwise_rows(codes, p: int) -> np.ndarray:
+    """Rows of pgl2_points(p) whose permutation maps the point codes into themselves."""
+    _, perms = pgl2_points(p)
+    codes = list(codes)
+    inside = np.zeros(p + 1, dtype=bool)
+    inside[codes] = True
+    return np.nonzero(inside[perms[:, codes]].all(axis=1))[0]
+
+
+def scalar_normalize(a: Matrix) -> tuple[Matrix, int]:
+    """(c^-1 a, c) for the first nonzero entry c of a."""
+    c = next((v for row in a.entries for v in row if v), 0)
+    return a.scaled(fp_inv(c, a.p)), c
 
 
 # ---------------------------------------------------------------------------

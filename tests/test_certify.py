@@ -11,7 +11,6 @@ from orbicert.certify import (
     certify_two_closed,
     lambda_obstructions,
     obstruction_polynomials,
-    scalar_closure_of_d8,
     scan_primes,
     search_linear_witness,
     setwise_stabilizer_gl2,
@@ -20,7 +19,7 @@ from orbicert.certify import (
 from orbicert.digraphs import orbital_union_set, preserves_set
 from orbicert.errors import DegenerateLambda
 from orbicert.fields import INFINITY
-from orbicert.groups import LinPart, d8_elements, g0_contains
+from orbicert.groups import LinPart, d8_elements, g0_contains, v4_representatives
 from orbicert.matrices import Matrix, mat_inv, mat_mul
 
 
@@ -55,8 +54,14 @@ def test_d8_inside_stabilizers_of_closed_direction_sets():
 
 
 def test_scalar_closure_size():
+    # the dihedral group modulo scalars: 4 classes, lifting to 4 (p-1)
+    # matrices that contain all 8 dihedral ones
     for p in (5, 7, 13, 17):
-        assert len(scalar_closure_of_d8(p)) == 4 * (p - 1)
+        v4 = v4_representatives(p)
+        assert len(v4) == 4
+        closure = {m.scaled(k) for m in v4 for k in range(1, p)}
+        assert len(closure) == 4 * (p - 1)
+        assert set(d8_elements(p).elements) <= closure
 
 
 def test_pair_intersection_p5():
@@ -173,7 +178,7 @@ def test_stated_q7_singleton_witness_fails_and_replacement_found():
     union = orbital_union_set(["L2"], m, p)
     stated = LinPart(Matrix(STATED_WITNESSES[(7, frozenset({"L2"}))], p), ident)
     assert not preserves_set(stated, union)  # the published matrix fails
-    repl = search_linear_witness(union, m, p)
+    repl = search_linear_witness(["L2"], p)
     assert repl == Matrix(((1, 1), (1, 6)), p)
     assert preserves_set(LinPart(repl, ident), union)
     assert not g0_contains(repl)
@@ -187,7 +192,7 @@ def test_stated_q13_triple_union_witness_fails_and_replacement_found():
         Matrix(STATED_WITNESSES[(13, frozenset({"L1", "L2", "L3"}))], p), ident
     )
     assert not preserves_set(stated, union)
-    repl = search_linear_witness(union, m, p)
+    repl = search_linear_witness(["L1", "L2", "L3"], p)
     assert repl == Matrix(((1, 5), (5, 1)), p)
     assert preserves_set(LinPart(repl, ident), union)
 

@@ -82,6 +82,20 @@ def test_invalid_config_exit_2(capsys):
     assert code == 2
 
 
+def test_cross_ratio_table_needs_six_points(capsys):
+    code, out, err = run_cli(capsys, "verify", "cross-ratio-table", "--p", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_rank_of_a_composite_modulus_is_not_verified(capsys):
+    code, out, err = run_cli(capsys, "rank", "--p", "9")
+    assert code == 1
+    assert "VERIFIED" not in out
+    assert "no inverse mod 9" in err
+
+
 def test_certification_error_exit_1(capsys):
     code, _, err = run_cli(capsys, "verify", "two-closed", "--p", "11")
     assert code == 1

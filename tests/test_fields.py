@@ -43,6 +43,14 @@ def test_inverse_of_zero_raises():
         fp_inv(14, 7)
 
 
+def test_inverse_needs_a_unit():
+    # extended Euclid must check the gcd: 3 * 6 = 0 (mod 9)
+    for a, n in [(3, 9), (6, 9), (5, 15), (10, 25)]:
+        with pytest.raises(ZeroInverse):
+            fp_inv(a, n)
+    assert fp_inv(2, 9) == 5
+
+
 def test_pow_frozen_values():
     acc = 1
     for _ in range(4):

@@ -10,13 +10,13 @@ from orbicert.matrices import (
     Tensor,
     decode_index,
     encode_coords,
-    gl2_array,
     gl2_count,
     gl2_enumerate,
     mat_inv,
     mat_mul,
     mat_rank,
     num_vertices,
+    pgl2_points,
     simple_factorize,
     tensor_apply,
 )
@@ -104,7 +104,8 @@ def test_gl2_enumeration_counts_and_uniqueness():
     assert gl2_count(3) == 48
     assert gl2_count(5) == 480
     assert gl2_count(17) == 78336
-    assert gl2_array(17).shape[0] == 78336
+    reps, _ = pgl2_points(17)
+    assert reps.shape[0] * 16 == 78336  # one class per 16 scalar multiples
 
 
 def test_vertex_codec_round_trip():
