@@ -34,8 +34,8 @@ from .certify import (
 from .cliques import DEFAULT_SEED, MuConfig, verify_clique_axioms
 from .crossratio import check_v4_collineations, verify_table1
 from .digraphs import hamming_check, orbital_union_set
-from .errors import InvalidConfig, OrbicertError
-from .fields import INFINITY, fp_sqrt_minus_one
+from .errors import DegenerateConfig, InvalidConfig, OrbicertError
+from .fields import INFINITY, PrimeModulus, fp_sqrt_minus_one
 from .groups import lambda_classes, nontrivial_labels, rank_of, suborbit_indices
 from .matrices import num_vertices
 from .report import emit_report
@@ -130,7 +130,10 @@ def run_lemma(name: str, cfg: RunConfig) -> Certificate:
     if name == "clique-axioms":
         if p is None or cfg.mus is None:
             raise InvalidConfig("--p and --mu required")
-        mu_cfg = MuConfig(z=len(cfg.mus), mus=cfg.mus, m=m, p=p)
+        try:
+            mu_cfg = MuConfig(z=len(cfg.mus), mus=cfg.mus, m=m, p=p)
+        except DegenerateConfig as exc:
+            raise InvalidConfig(str(exc)) from None
         return _wrap(
             f"lemma:{name}",
             {"p": p, "m": m, "mus": list(cfg.mus), "seed": cfg.seed},
@@ -178,7 +181,7 @@ def dispatch(cfg: RunConfig, lemma_name: str | None = None) -> list[Certificate]
         return [certify_two_closed(cfg.p, cfg.m, seed=cfg.seed)]
     if cmd in ("theorem-q5", "theorem-q7", "theorem-q13"):
         p = int(cmd.split("q")[1])
-        return [certify_not_digraph_group(p, cfg.m, jobs=cfg.jobs)]
+        return [certify_not_digraph_group(p, cfg.m)]
     if cmd == "q17":
         return [certify_q17(cfg.m, seed=cfg.seed)]
     if cmd == "cross-ratio-table":
@@ -209,7 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--mu", type=str, default=None, help="comma-separated slopes, e.g. 1,2,3,4")
         sp.add_argument("--max-prime", type=int, default=500)
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--jobs", type=int, default=1)
+        sp.add_argument(
+            "--jobs",
+            type=int,
+            default=1,
+            help="validated (>= 1) and echoed in run_config; certification runs serially",
+        )
         sp.add_argument("--format", choices=("text", "json"), default="text")
         sp.add_argument("--out", type=str, default=None)
 
@@ -263,8 +271,15 @@ def parse_config(argv) -> tuple[RunConfig, str | None]:
         fmt=args.format,
         out=args.out,
     )
+    if cfg.p is not None:
+        try:
+            PrimeModulus(cfg.p)
+        except ValueError as exc:
+            raise InvalidConfig(f"--p: {exc}") from None
     if cfg.m < 2:
         raise InvalidConfig("m must be at least 2")
+    if cfg.jobs < 1:
+        raise InvalidConfig("--jobs must be at least 1")
     return cfg, lemma_name
 
 

@@ -297,13 +297,13 @@ def hamming_check(s: ConnectionSet, d1, d2) -> bool:
 
 
 def hamming_witness(d1, d2, m: int, p: int) -> VertexPermutation:
-    """A certified non-affine automorphism of the two-block Cayley graph.
+    """The candidate non-affine automorphism of the two-block Cayley graph.
 
     Acts in Hamming coordinates by transposing the W-codes 1 and 2 (the
     encodings of f_1 and 2 f_1) on the first coordinate only; any
     non-linear permutation of one side works, this one is the canonical
-    choice.  Raises CertificationFailed unless both certificates pass:
-    exhaustive arc preservation, and an explicit non-additivity pair.
+    choice.  Only builds the permutation: the caller certifies it on its
+    own connection set with ``is_automorphism`` and ``nonadditive_witness``.
     """
     if num_vertices(m, p) > BFS_MAX_VERTICES:
         raise ParameterTooLarge("witness certification gated to p^(2m) <= 10^6")
@@ -315,13 +315,6 @@ def hamming_witness(d1, d2, m: int, p: int) -> VertexPermutation:
     sigma = np.arange(q, dtype=np.int64)
     sigma[1], sigma[2] = 2, 1
     perm = VertexPermutation(lookup[sigma[acode] * q + bcode], m, p)
-
-    block = np.nonzero(((acode != 0) & (bcode == 0)) | ((acode == 0) & (bcode != 0)))[0]
-    s = ConnectionSet(block, m, p)
-    if not perm.is_automorphism(s):
-        raise CertificationFailed("hamming witness", "arc preservation")
     if not perm.fixes_zero():
         raise CertificationFailed("hamming witness", "zero not fixed")
-    if perm.nonadditive_witness() is None:
-        raise CertificationFailed("hamming witness", "witness turned out affine")
     return perm

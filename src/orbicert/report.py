@@ -20,10 +20,16 @@ def canonical_json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
-def report_payload(certs: list[Certificate], run_config: dict) -> dict:
+def status_counts(certs: list[Certificate]) -> dict[str, int]:
+    """Certificates per status; the three known statuses always appear."""
     counts = {"verified": 0, "refuted": 0, "skipped": 0}
     for c in certs:
         counts[c.status] = counts.get(c.status, 0) + 1
+    return counts
+
+
+def report_payload(certs: list[Certificate], run_config: dict) -> dict:
+    counts = status_counts(certs)
     body = {
         "tool_version": TOOL_VERSION,
         "run_config": dict(sorted(run_config.items())),
@@ -48,9 +54,7 @@ def emit_report(certs: list[Certificate], fmt: str, run_config: dict) -> str:
                 lines.append(f"    - {key}: {val['status']}")
             elif isinstance(val, (int, float, str, bool)):
                 lines.append(f"    - {key}: {val}")
-    counts = {"verified": 0, "refuted": 0, "skipped": 0}
-    for c in certs:
-        counts[c.status] += 1
+    counts = status_counts(certs)
     lines.append(
         f"summary: {counts['verified']} verified, {counts['refuted']} refuted, "
         f"{counts['skipped']} skipped"

@@ -1,5 +1,6 @@
 """Stabilizer scans, theorem drivers, obstruction arithmetic."""
 
+import numpy as np
 import pytest
 
 from orbicert.certify import (
@@ -16,11 +17,11 @@ from orbicert.certify import (
     setwise_stabilizer_gl2,
     stabilizer_intersection_report,
 )
-from orbicert.digraphs import orbital_union_set, preserves_set
-from orbicert.errors import DegenerateLambda
+from orbicert.digraphs import VertexPermutation, orbital_union_set, preserves_set
+from orbicert.errors import CertificationFailed, DegenerateLambda
 from orbicert.fields import INFINITY
 from orbicert.groups import LinPart, d8_elements, g0_contains, v4_representatives
-from orbicert.matrices import Matrix, mat_inv, mat_mul
+from orbicert.matrices import Matrix, mat_inv, mat_mul, num_vertices
 
 
 def test_direction_set_realized():
@@ -219,10 +220,42 @@ def test_not_digraph_group_p5():
     assert len(seen) == 2**4 - 2
 
 
-def test_not_digraph_group_p5_parallel():
-    cert = certify_not_digraph_group(5, 2, jobs=2)
+def test_each_hamming_witness_is_checked_once(monkeypatch):
+    calls = {"is_automorphism": 0, "nonadditive_witness": 0}
+    for name in calls:
+        original = getattr(VertexPermutation, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(VertexPermutation, name, counted)
+    cert = certify_not_digraph_group(5, 2)
     assert cert.status == "verified"
-    assert cert.evidence["unions_checked"] == 14
+    hamming = cert.evidence["witness_kinds"]["hamming"]
+    assert hamming > 0
+    assert calls == {"is_automorphism": hamming, "nonadditive_witness": hamming}
+
+
+def test_a_broken_hamming_witness_is_never_verified(monkeypatch):
+    # swapping two vertices on one Hamming line breaks the arcs to the
+    # other line through either of them
+    m, p = 2, 5
+    mapping = np.arange(num_vertices(m, p))
+    mapping[[1, 2]] = mapping[[2, 1]]
+    broken = VertexPermutation(mapping, m, p)
+    assert not broken.is_automorphism(orbital_union_set(["A"], m, p))
+    monkeypatch.setattr("orbicert.certify.hamming_witness", lambda *args: broken)
+    with pytest.raises(CertificationFailed, match="no verified witness"):
+        certify_not_digraph_group(p, m)
+
+
+def test_two_closed_checks_delta_at_every_size(monkeypatch):
+    # stage (a) runs at every size; no size may drop it from the evidence
+    monkeypatch.setattr("orbicert.certify.num_vertices", lambda m, p: 10**6 + 1)
+    cert = certify_two_closed(5, 2)
+    assert cert.status == "verified"
+    assert cert.evidence["delta_equals_union"]["status"] == "pass"
 
 
 def test_not_digraph_group_p7_records_failure():

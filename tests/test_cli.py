@@ -80,6 +80,17 @@ def test_invalid_config_exit_2(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "verify", "cliques", "--p", "5", "--mu", "1,2,3")
     assert code == 2
+    for argv in (
+        ("rank", "--p", "-5"),
+        ("suborbits", "--p", "2"),
+        ("verify", "theorem-q5", "--jobs", "0"),
+        ("rank", "--p", "9"),
+        ("verify", "cliques", "--p", "7", "--mu", "1,1,3,4"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, argv
 
 
 def test_cross_ratio_table_needs_six_points(capsys):
@@ -91,9 +102,9 @@ def test_cross_ratio_table_needs_six_points(capsys):
 
 def test_rank_of_a_composite_modulus_is_not_verified(capsys):
     code, out, err = run_cli(capsys, "rank", "--p", "9")
-    assert code == 1
+    assert code == 2
     assert "VERIFIED" not in out
-    assert "no inverse mod 9" in err
+    assert "odd prime" in err
 
 
 def test_certification_error_exit_1(capsys):

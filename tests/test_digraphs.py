@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbicert.digraphs import (
     ConnectionSet,
@@ -154,6 +156,38 @@ def test_linear_permutations_are_affine():
     lin = LinPart(Matrix(((1, 1), (1, -1)), p), Matrix.identity(m, p))
     perm = VertexPermutation.from_linear(lin, m, p)
     assert perm.nonadditive_witness() is None
+
+
+def _invertible(p: int):
+    entries = st.integers(0, p - 1)
+    return st.tuples(
+        st.tuples(entries, entries), st.tuples(entries, entries)
+    ).map(lambda rows: Matrix(rows, p)).filter(lambda a: a.is_invertible())
+
+
+def test_arc_check_agrees_with_preserves_set():
+    # the exhaustive arc check is the one checker of Hamming witnesses;
+    # on linear maps it must agree with the set-image oracle
+    m, p = 2, 5
+    ident = Matrix.identity(m, p)
+    outcomes = set()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        a=_invertible(p),
+        b=_invertible(p),
+        tokens=st.sets(st.sampled_from(nontrivial_labels(p)), min_size=1),
+    )
+    @example(a=ident, b=ident, tokens={"A"})
+    @example(a=Matrix(((1, 1), (0, 1)), p), b=ident, tokens={"A"})
+    def check(a, b, tokens):
+        s = orbital_union_set(tokens, m, p)
+        got = VertexPermutation.from_linear((a, b), m, p).is_automorphism(s)
+        assert got == preserves_set((a, b), s)
+        outcomes.add(got)
+
+    check()
+    assert outcomes == {True, False}
 
 
 def test_complement_duality():
