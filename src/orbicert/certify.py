@@ -37,6 +37,7 @@ from .digraphs import (
 from .errors import (
     CertificationFailed,
     DegenerateLambda,
+    InvalidConfig,
     ParameterTooLarge,
     ScanViolation,
 )
@@ -207,7 +208,7 @@ def certify_two_closed(
     the 2-closure argument equally licenses, and records both outcomes.
     """
     if p not in TWO_CLOSED_PAIRS:
-        raise CertificationFailed("two-closed", "unsupported prime", p)
+        raise InvalidConfig(f"two-closed supports p in {sorted(TWO_CLOSED_PAIRS)}, not {p}")
     start = time.perf_counter()
     evidence: dict = {}
     mus, union_tokens = TWO_CLOSED_MU[p]

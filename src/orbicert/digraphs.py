@@ -9,6 +9,8 @@ vertices rather than materialized arc lists.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import (
@@ -73,9 +75,64 @@ class ConnectionSet:
         return f"ConnectionSet(m={self.m}, p={self.p}, |S|={len(self)}, labels={lab})"
 
 
+@lru_cache(maxsize=32)
 def negation_map(m: int, p: int) -> np.ndarray:
-    """Vertex permutation x |-> -x."""
-    return encode_array((-all_coords(m, p)) % p, p)
+    """Vertex permutation x |-> -x (cached, read-only)."""
+    out = encode_array((-all_coords(m, p)) % p, p)
+    out.flags.writeable = False
+    return out
+
+
+# ---------------------------------------------------------------------------
+# translation on the digit grid
+#
+# The vertex index sum(x_k p^k) is mixed radix, so a length-n array reshaped
+# in C order to (p,) * 2m is a grid whose axis j carries digit 2m-1-j.  On
+# that grid the array of values at x + t is one np.roll by the negated,
+# reversed digits of t: a copy, with no % or matmul over the vertices.
+
+
+@lru_cache(maxsize=8)
+def _digit_planes(m: int, p: int) -> np.ndarray:
+    """Digit k of every vertex as plane k of a (2m, p, ..., p) uint16 grid.
+
+    ``all_coords`` refuses p^(2m) > 10^7, so p < 2^12 and every digit plus p
+    fits in 16 bits.
+    """
+    n = num_vertices(m, p)
+    planes = all_coords(m, p).reshape(n, 2 * m).T.astype(np.uint16)
+    planes = planes.reshape((2 * m,) + (p,) * (2 * m))
+    planes.flags.writeable = False
+    return planes
+
+
+def _translated(grid: np.ndarray, t: int, m: int, p: int) -> np.ndarray:
+    """Values at x + t, for a grid whose trailing 2m axes are the vertex grid."""
+    shift = tuple(-all_coords(m, p)[int(t)].ravel()[::-1])
+    return np.roll(grid, shift, axis=tuple(range(grid.ndim - 2 * m, grid.ndim)))
+
+
+def _one_per_pair(s: ConnectionSet) -> np.ndarray:
+    """One member t of each pair +-t of S (S = -S, and 0 is not in S)."""
+    neg = negation_map(s.m, s.p)
+    return s.members[s.members <= neg[s.members]]
+
+
+def _encode_difference(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
+    """Vertex indices of u - v for uint16 digit planes of shape (2m, ...).
+
+    Each digit difference is reduced mod p without a division: a negative
+    u - v wraps to u - v + 2^16, and d + p then wraps to u - v + p, the
+    smaller of the two; a non-negative d is itself the smaller.  The
+    reduced planes are encoded by Horner's rule.
+    """
+    d = u - v
+    np.minimum(d, d + p, out=d)
+    idx = d[-1].astype(np.int32)
+    for plane in d[-2::-1]:
+        idx *= p
+        idx += plane
+    return idx
 
 
 def difference_index(x: int, y: int, m: int, p: int) -> int:
@@ -192,18 +249,25 @@ class VertexPermutation:
     def is_automorphism(self, s: ConnectionSet) -> bool:
         """Exhaustive arc check.
 
-        Verifies that every arc maps to an arc; a bijection that injects
-        the finite arc set into itself is onto it, so this settles both
-        directions.
+        Verifies phi(x + t) - phi(x) in S for every vertex x and every t in
+        S, i.e. that every arc (x + t, x) maps to an arc; a bijection that
+        injects the finite arc set into itself is onto it, so this settles
+        both directions.  Translation is a roll on the digit grid: the
+        digit planes of phi at x + t are phi's planes rolled by the negated,
+        reversed digits of t, so each t costs one copy of 2m planes and a
+        Horner encoding of the difference.  Only one member of each pair
+        +-t is rolled: S = -S (``ConnectionSet`` enforces it), and the arc
+        (x, x + t) of difference -t is the reverse of (x + t, x), so its
+        image difference is the negation of one already checked.
         """
         if (s.m, s.p) != (self.m, self.p):
             raise ValueError("permutation and connection set live on different spaces")
-        coords = all_coords(s.m, s.p)
-        pcoords = coords[self.mapping]
-        for si in s.members:
-            add = encode_array((coords + coords[int(si)]) % s.p, s.p)
-            diff = (pcoords[add] - pcoords) % s.p
-            if not s.mask[encode_array(diff, s.p)].all():
+        m, p = s.m, s.p
+        planes = _digit_planes(m, p)
+        img = planes.reshape(2 * m, -1)[:, self.mapping].reshape(planes.shape)
+        for t in _one_per_pair(s):
+            diff = _encode_difference(_translated(img, t, m, p), img, p)
+            if not s.mask[diff].all():
                 return False
         return True
 
@@ -260,7 +324,12 @@ def hamming_check(s: ConnectionSet, d1, d2) -> bool:
 
     Requires S to be exactly the union of the two direction blocks minus 0;
     then verifies the coordinate map is a bijection carrying arcs to
-    Hamming adjacency and back, exhaustively.
+    Hamming adjacency and back, exhaustively.  Arcs (x + t, x) are checked
+    by rolling the (a, b) code grids by the negated, reversed digits of t,
+    the grid form of x -> x + t; Hamming pairs by the Horner encoding of
+    their difference.  Both halves visit one member of each reverse pair
+    only (t or -t; delta or q - delta): S = -S and Hamming adjacency is
+    symmetric, so the other member's verdict is the same.
     """
     m, p = s.m, s.p
     acode, bcode = hamming_coordinates(d1, d2, m, p)
@@ -271,27 +340,28 @@ def hamming_check(s: ConnectionSet, d1, d2) -> bool:
     pair = acode * q + bcode
     if np.unique(pair).size != pair.size:
         raise BadDecomposition("coordinate map is not a bijection")
-    # arcs -> Hamming adjacency
-    coords = all_coords(m, p)
-    for si in s.members:
-        add = encode_array((coords + coords[int(si)]) % p, p)
-        da = acode[add] != acode
-        db = bcode[add] != bcode
+    # arcs -> Hamming adjacency, one member of each pair +-t (the relation
+    # "differs in exactly one coordinate" is symmetric)
+    grid = (p,) * (2 * m)
+    agrid, bgrid = acode.reshape(grid), bcode.reshape(grid)
+    for t in _one_per_pair(s):
+        da = _translated(agrid, t, m, p) != agrid
+        db = _translated(bgrid, t, m, p) != bgrid
         if not np.logical_xor(da, db).all():
             return False
-    # Hamming adjacency -> arcs: same-b pairs and same-a pairs
+    # Hamming adjacency -> arcs: same-b pairs and same-a pairs.  The pairs at
+    # delta and q - delta are reverses of each other and S = -S, so
+    # delta <= (q - 1) / 2 covers them all.
     lookup = np.empty(q * q, dtype=np.int64)
     lookup[pair] = np.arange(pair.size)
-    n = pair.size
-    for delta in range(1, q):
+    planes = _digit_planes(m, p).reshape(2 * m, -1)
+    for delta in range(1, (q + 1) // 2):
         # change the a-coordinate to any other value with b fixed, and dually
         other_a = lookup[((acode + delta) % q) * q + bcode]
-        diff = encode_array((coords[other_a] - coords) % p, p)
-        if not s.mask[diff].all():
+        if not s.mask[_encode_difference(planes[:, other_a], planes, p)].all():
             return False
         other_b = lookup[acode * q + (bcode + delta) % q]
-        diff = encode_array((coords[other_b] - coords) % p, p)
-        if not s.mask[diff].all():
+        if not s.mask[_encode_difference(planes[:, other_b], planes, p)].all():
             return False
     return True
 
@@ -303,7 +373,9 @@ def hamming_witness(d1, d2, m: int, p: int) -> VertexPermutation:
     encodings of f_1 and 2 f_1) on the first coordinate only; any
     non-linear permutation of one side works, this one is the canonical
     choice.  Only builds the permutation: the caller certifies it on its
-    own connection set with ``is_automorphism`` and ``nonadditive_witness``.
+    own connection set with ``is_automorphism``, which checks every arc
+    (x + t, x) for one member t of each pair +-t of S by rolling the
+    witness's digit planes on the digit grid, and ``nonadditive_witness``.
     """
     if num_vertices(m, p) > BFS_MAX_VERTICES:
         raise ParameterTooLarge("witness certification gated to p^(2m) <= 10^6")

@@ -2,7 +2,9 @@
 
 import json
 
+from orbicert import cli
 from orbicert.cli import main
+from orbicert.errors import CertificationFailed
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +88,7 @@ def test_invalid_config_exit_2(capsys):
         ("verify", "theorem-q5", "--jobs", "0"),
         ("rank", "--p", "9"),
         ("verify", "cliques", "--p", "7", "--mu", "1,1,3,4"),
+        ("verify", "two-closed", "--p", "11"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -107,9 +110,14 @@ def test_rank_of_a_composite_modulus_is_not_verified(capsys):
     assert "odd prime" in err
 
 
-def test_certification_error_exit_1(capsys):
-    code, _, err = run_cli(capsys, "verify", "two-closed", "--p", "11")
+def test_certification_error_exit_1(capsys, monkeypatch):
+    def failing(p, m, seed):
+        raise CertificationFailed("two-closed", "stabilizer pinning", p)
+
+    monkeypatch.setattr(cli, "certify_two_closed", failing)
+    code, out, err = run_cli(capsys, "verify", "two-closed", "--p", "7")
     assert code == 1
+    assert out == ""
     assert "certification failed" in err
 
 

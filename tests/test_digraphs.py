@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import orbicert.digraphs as digraphs
+from orbicert.certify import hamming_capable
 from orbicert.digraphs import (
     ConnectionSet,
     VertexPermutation,
@@ -21,7 +23,7 @@ from orbicert.digraphs import (
 from orbicert.errors import BadDecomposition, EmptyUnion
 from orbicert.fields import INFINITY
 from orbicert.groups import LinPart, d8_elements, nontrivial_labels
-from orbicert.matrices import Matrix, Tensor, num_vertices
+from orbicert.matrices import Matrix, Tensor, all_coords, encode_array, num_vertices
 
 
 def test_connection_set_validation():
@@ -188,6 +190,120 @@ def test_arc_check_agrees_with_preserves_set():
 
     check()
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (5, 2), (3, 3)])
+def test_grid_translation_and_horner_match_the_codec(p, m):
+    # the two kernels of the arc checks against encode_array, for every t
+    n = num_vertices(m, p)
+    coords = all_coords(m, p)
+    index_grid = np.arange(n).reshape((p,) * (2 * m))
+    for t in range(n):
+        rolled = digraphs._translated(index_grid, t, m, p).ravel()
+        assert np.array_equal(rolled, encode_array((coords + coords[t]) % p, p))
+    planes = digraphs._digit_planes(m, p).reshape(2 * m, n)
+    rng = np.random.default_rng(3)
+    u, v = rng.integers(n, size=(2, 4 * n))
+    got = digraphs._encode_difference(planes[:, u], planes[:, v], p)
+    assert np.array_equal(got, encode_array((coords[u] - coords[v]) % p, p))
+
+
+@pytest.mark.parametrize("p", [3, 13, 101, 1021])
+def test_digit_difference_is_reduced_mod_p(p):
+    # every pair of digits, through the uint16 wrap-around reduction
+    u, v = np.divmod(np.arange(p * p), p)
+    planes = np.stack([u, v]).astype(np.uint16)
+    got = digraphs._encode_difference(planes[:1], planes[1:], p)
+    assert np.array_equal(got, (u - v) % p)
+
+
+def _reference_is_automorphism(perm: VertexPermutation, s: ConnectionSet) -> bool:
+    # the per-member re-encoding loop over all of S, no grid, no +-t halving
+    coords = all_coords(s.m, s.p)
+    pcoords = coords[perm.mapping]
+    for t in s.members:
+        add = encode_array((coords + coords[int(t)]) % s.p, s.p)
+        diff = (pcoords[add] - pcoords) % s.p
+        if not s.mask[encode_array(diff, s.p)].all():
+            return False
+    return True
+
+
+def test_arc_check_agrees_with_the_unhalved_reference():
+    m, p = 2, 5
+    n = num_vertices(m, p)
+    labels = nontrivial_labels(p)
+    dirs = [hamming_capable(t, p) for t in labels if hamming_capable(t, p)]
+    outcomes = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        base=st.one_of(
+            st.sampled_from(dirs).map(lambda d: hamming_witness(d[0], d[1], m, p).mapping),
+            st.permutations(range(n)).map(np.array),
+        ),
+        swaps=st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3),
+        tokens=st.sets(st.sampled_from(labels), min_size=1),
+    )
+    @example(base=hamming_witness(0, INFINITY, m, p).mapping, swaps=[], tokens={"A"})
+    @example(base=hamming_witness(0, INFINITY, m, p).mapping, swaps=[(1, 2)], tokens={"A"})
+    def check(base, swaps, tokens):
+        mapping = base.copy()
+        for i, j in swaps:
+            mapping[[i, j]] = mapping[[j, i]]
+        perm = VertexPermutation(mapping, m, p)
+        s = orbital_union_set(tokens, m, p)
+        got = perm.is_automorphism(s)
+        assert got == _reference_is_automorphism(perm, s)
+        outcomes.add(got)
+
+    check()
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("p, m", [(5, 2), (7, 2), (5, 3)])
+def test_hamming_check_on_every_capable_label(p, m):
+    capable = [(t, hamming_capable(t, p)) for t in nontrivial_labels(p)]
+    capable = [(t, d) for t, d in capable if d]
+    assert len(capable) >= 2
+    for token, (d1, d2) in capable:
+        assert hamming_check(orbital_union_set([token], m, p), d1, d2), token
+
+
+def test_hamming_check_refuses_a_scrambled_coordinate_map(monkeypatch):
+    # swapping the codes of two vertices outside S keeps the block set and
+    # the bijection but breaks adjacency, so the exhaustive check must fail
+    m, p = 2, 5
+    s = orbital_union_set(["A"], m, p)
+    real = digraphs.hamming_coordinates
+
+    def scrambled(d1, d2, m, p):
+        a, b = (c.copy() for c in real(d1, d2, m, p))
+        x, y = [v for v in range(1, a.size) if v not in s][:2]
+        a[[x, y]], b[[x, y]] = a[[y, x]], b[[y, x]]
+        return a, b
+
+    assert hamming_check(s, 0, INFINITY)
+    monkeypatch.setattr(digraphs, "hamming_coordinates", scrambled)
+    assert not hamming_check(s, 0, INFINITY)
+
+
+def test_arc_checks_do_not_reencode_per_member(monkeypatch):
+    # the grid kernels replace encode_array inside both exhaustive checks
+    m, p = 2, 5
+    s = orbital_union_set(["A"], m, p)
+    comp = orbital_union_set(sorted(complement_labels(["A"], p)), m, p)
+    w = hamming_witness(0, INFINITY, m, p)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return encode_array(*args, **kwargs)
+
+    monkeypatch.setattr(digraphs, "encode_array", counting)
+    assert w.is_automorphism(s) and w.is_automorphism(comp)
+    assert hamming_check(s, 0, INFINITY)
+    assert len(calls) == 0
 
 
 def test_complement_duality():
