@@ -20,7 +20,7 @@ from .errors import (
     ParameterTooLarge,
 )
 from .crossratio import homogeneous
-from .fields import INFINITY
+from .fields import INFINITY, fp_inv
 from .matrices import (
     Matrix,
     all_coords,
@@ -28,10 +28,11 @@ from .matrices import (
     linear_vertex_map,
     mat_inv,
     num_vertices,
+    product_image,
 )
-from .groups import LinPart, nontrivial_labels, suborbit_indices
+from .groups import LinPart, classify_all, nontrivial_labels
 
-BFS_MAX_VERTICES = 10**6
+HAMMING_WITNESS_MAX_VERTICES = 10**6
 
 
 class ConnectionSet:
@@ -41,13 +42,15 @@ class ConnectionSet:
 
     def __init__(self, indices, m: int, p: int, labels=None):
         n = num_vertices(m, p)
-        members = np.unique(np.asarray(indices, dtype=np.int64))
-        if members.size == 0:
+        idx = np.asarray(indices, dtype=np.int64)
+        if idx.size == 0:
             raise EmptyUnion("connection set is empty")
-        if members[0] < 0 or members[-1] >= n:
+        # checked before the scatter: a negative index would wrap silently
+        if idx.min() < 0 or idx.max() >= n:
             raise ValueError("vertex index out of range")
         mask = np.zeros(n, dtype=bool)
-        mask[members] = True
+        mask[idx] = True
+        members = np.flatnonzero(mask)
         if mask[0]:
             raise ValueError("connection set must not contain 0")
         neg = negation_map(m, p)
@@ -69,6 +72,11 @@ class ConnectionSet:
 
     def __contains__(self, idx):
         return bool(self.mask[int(idx)])
+
+    def digits(self) -> np.ndarray:
+        """The (|S|, 2m) row-major digit rows of the members, a fresh array."""
+        flat = all_coords(self.m, self.p).reshape(-1, 2 * self.m)
+        return flat.take(self.members, axis=0)
 
     def __repr__(self):
         lab = sorted(self.labels) if self.labels else "custom"
@@ -153,8 +161,9 @@ def orbital_union_set(labels, m: int, p: int) -> ConnectionSet:
     bad = tokens - known
     if bad:
         raise ValueError(f"unknown suborbits for p={p}: {sorted(bad)}")
-    parts = [suborbit_indices(t, m, p) for t in sorted(tokens)]
-    return ConnectionSet(np.concatenate(parts), m, p, labels=tokens)
+    codes, code_tokens = classify_all(m, p)
+    wanted = np.array([t in tokens for t in code_tokens])
+    return ConnectionSet(np.flatnonzero(wanted[codes]), m, p, labels=tokens)
 
 
 def complement_labels(labels, p: int) -> frozenset[str]:
@@ -170,48 +179,29 @@ def is_arc(x: int, y: int, s: ConnectionSet) -> bool:
 
 
 def is_connected(s: ConnectionSet) -> bool:
-    """Breadth-first reachability of every vertex from 0 along S-steps.
+    """Cay(T, S) is connected iff the digit rows of S span T over GF(p).
 
-    Frontier expansion is chunked and stops as soon as every vertex has
-    been reached (for the orbital sets here that is almost always after
-    a fragment of the second round).
+    T is elementary abelian, so the vertices reachable from 0 are the
+    GF(p)-span of S.  Column elimination on the |S| x 2m digit matrix: a
+    row with a nonzero entry in the column is scaled to a pivot of 1 with
+    ``fp_inv`` and subtracted from every row, itself included, which zeroes
+    the column.  The rank is 2m iff every column finds such a row.
     """
-    n = num_vertices(s.m, s.p)
-    if n > BFS_MAX_VERTICES:
-        raise ParameterTooLarge(f"BFS over {n} vertices refused")
-    coords = all_coords(s.m, s.p)
-    s_coords = coords[s.members]
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
-    frontier = np.array([0], dtype=np.int64)
-    chunk = max(1, 2_000_000 // max(1, len(s)))
-    while frontier.size:
-        nxt_parts = []
-        for lo in range(0, frontier.size, chunk):
-            block = coords[frontier[lo : lo + chunk]]
-            nbrs = encode_array(
-                (block[:, None, :, :] + s_coords[None, :, :, :]) % s.p, s.p
-            ).ravel()
-            new = nbrs[~reached[nbrs]]
-            if new.size:
-                new = np.unique(new)
-                reached[new] = True
-                nxt_parts.append(new)
-            if reached.all():
-                return True
-        frontier = (
-            np.concatenate(nxt_parts) if nxt_parts else np.empty(0, dtype=np.int64)
-        )
-    return bool(reached.all())
+    p = s.p
+    rows = s.digits()
+    for col in range(rows.shape[1]):
+        nonzero = np.flatnonzero(rows[:, col])
+        if nonzero.size == 0:
+            return False
+        pivot = rows[nonzero[0]] * fp_inv(int(rows[nonzero[0], col]), p) % p
+        rows = (rows - np.outer(rows[:, col], pivot)) % p
+    return True
 
 
 def preserves_set(lin, s: ConnectionSet) -> bool:
     """True iff the linear map sends S onto S (hence is an automorphism)."""
     a, b = (lin.a, lin.b) if isinstance(lin, LinPart) else lin
-    coords = all_coords(s.m, s.p)[s.members]
-    imgs = np.einsum("ik,nij->nkj", a.array, coords)
-    imgs = np.einsum("nkj,jl->nkl", imgs, b.array) % s.p
-    return bool(s.mask[encode_array(imgs, s.p)].all())
+    return bool(s.mask[product_image(s.digits(), a, b, s.p)].all())
 
 
 class VertexPermutation:
@@ -377,7 +367,7 @@ def hamming_witness(d1, d2, m: int, p: int) -> VertexPermutation:
     (x + t, x) for one member t of each pair +-t of S by rolling the
     witness's digit planes on the digit grid, and ``nonadditive_witness``.
     """
-    if num_vertices(m, p) > BFS_MAX_VERTICES:
+    if num_vertices(m, p) > HAMMING_WITNESS_MAX_VERTICES:
         raise ParameterTooLarge("witness certification gated to p^(2m) <= 10^6")
     acode, bcode = hamming_coordinates(d1, d2, m, p)
     q = p**m

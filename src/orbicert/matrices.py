@@ -439,9 +439,16 @@ def simple_factorize(x: Tensor):
     return (0, 1), r2
 
 
+def product_image(digits: np.ndarray, a: Matrix, b: Matrix, p: int) -> np.ndarray:
+    """Vertex indices of the images of (k, 2m) row-major digit rows under (a, b).
+
+    Row-major flattening turns the grid map X -> a^T X b into
+    flat -> flat @ kron(a, b), so both factors act in one matmul.
+    """
+    img = digits @ np.kron(a.array, b.array)
+    return encode_array(img.reshape(len(img), 2, -1), p)
+
+
 def linear_vertex_map(a: Matrix, b: Matrix, m: int, p: int) -> np.ndarray:
     """Vertex permutation array of the product action of (a, b)."""
-    coords = all_coords(m, p)
-    imgs = np.einsum("ik,nij->nkj", a.array, coords)
-    imgs = np.einsum("nkj,jl->nkl", imgs, b.array) % p
-    return encode_array(imgs, p)
+    return product_image(all_coords(m, p).reshape(-1, 2 * m), a, b, p)

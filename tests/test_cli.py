@@ -1,6 +1,9 @@
 """Command-line surface: dispatch, exit codes, deterministic JSON."""
 
 import json
+from pathlib import Path
+
+import pytest
 
 from orbicert import cli
 from orbicert.cli import main
@@ -147,3 +150,24 @@ def test_seed_echoed_in_run_config(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["run_config"]["seed"] == 99
+
+
+REFERENCE = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
+)
+
+
+@pytest.mark.parametrize(
+    "command, expected",
+    [
+        pytest.param(cmd, h, id=cmd)
+        for workload in REFERENCE.values()
+        for cmd, h in workload.items()
+    ],
+)
+def test_reference_hashes(capsys, command, expected):
+    # the benchmark refuses a run whose seed-1729 hash differs from these
+    argv = [*command.split(), "--format", "json", "--seed", "1729"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["content_hash"] == expected

@@ -1,6 +1,7 @@
 """Cayley digraphs: arcs, connectivity, set preservation, Hamming structure."""
 
 import random
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from orbicert.digraphs import (
 )
 from orbicert.errors import BadDecomposition, EmptyUnion
 from orbicert.fields import INFINITY
-from orbicert.groups import LinPart, d8_elements, nontrivial_labels
+from orbicert.groups import LinPart, d8_elements, nontrivial_labels, suborbit_indices
 from orbicert.matrices import Matrix, Tensor, all_coords, encode_array, num_vertices
 
 
@@ -39,6 +40,24 @@ def test_connection_set_validation():
     assert len(s) == 2 and x.index in s
 
 
+def test_connection_set_refuses_indices_outside_the_vertices():
+    # a negative index would otherwise wrap to the end of the mask
+    m, p = 2, 5
+    n = num_vertices(m, p)
+    with pytest.raises(ValueError, match="out of range"):
+        ConnectionSet([-1, 1], m, p)
+    with pytest.raises(ValueError, match="out of range"):
+        ConnectionSet([n - 1, n], m, p)
+
+
+def test_connection_set_members_are_sorted_and_unique():
+    m, p = 2, 5
+    neg = digraphs.negation_map(m, p)
+    raw = np.array([7, 3, 7, neg[3], 12, neg[7], neg[12], 3, neg[12]])
+    s = ConnectionSet(raw, m, p)
+    assert np.array_equal(s.members, np.unique(raw))
+
+
 def test_union_set_matches_direct_construction():
     # the axis/slope-1 union at p=5: directions (1,0), (0,1), (1,1), (1,4)
     m, p = 2, 5
@@ -52,6 +71,17 @@ def test_union_set_matches_direct_construction():
                 direct.add(Tensor.simple(v, (w1, w2), p).index)
     assert direct == {int(i) for i in s.members}
     assert s.labels == frozenset({"A", "L1"})
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_union_members_are_the_sorted_suborbits(p):
+    m = 2
+    labels = nontrivial_labels(p)
+    for size in range(1, len(labels) + 1):
+        for tokens in combinations(labels, size):
+            parts = [suborbit_indices(t, m, p) for t in tokens]
+            expected = np.sort(np.concatenate(parts))
+            assert np.array_equal(orbital_union_set(tokens, m, p).members, expected)
 
 
 def test_union_complement_partitions_nonzero():
@@ -83,10 +113,57 @@ def test_connectivity():
     assert not is_connected(line)
 
 
+def _bfs_is_connected(s: ConnectionSet) -> bool:
+    # reachability of every vertex from 0 along S-steps, the frontier in
+    # chunks of ~2 * 10^5 neighbours, stopping once every vertex is reached
+    coords = all_coords(s.m, s.p)
+    s_coords = coords[s.members]
+    reached = np.zeros(num_vertices(s.m, s.p), dtype=bool)
+    reached[0] = True
+    frontier = np.array([0])
+    chunk = max(1, 200_000 // len(s))
+    while frontier.size:
+        parts = []
+        for lo in range(0, frontier.size, chunk):
+            block = coords[frontier[lo : lo + chunk]]
+            nbrs = encode_array((block[:, None] + s_coords[None]) % s.p, s.p).ravel()
+            new = np.unique(nbrs[~reached[nbrs]])
+            reached[new] = True
+            parts.append(new)
+            if reached.all():
+                return True
+        frontier = np.concatenate(parts)
+    return False
+
+
 def test_all_orbitals_connected_small():
-    for m, p in [(2, 5), (2, 7)]:
+    # the rank test against the BFS oracle on every orbital
+    for m, p in [(2, 5), (2, 7), (3, 3), (3, 5)]:
         for token in nontrivial_labels(p):
-            assert is_connected(orbital_union_set([token], m, p))
+            s = orbital_union_set([token], m, p)
+            assert is_connected(s) and _bfs_is_connected(s), (m, p, token)
+
+
+def test_rank_connectivity_matches_the_bfs_on_random_sets():
+    outcomes = set()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        mp=st.sampled_from([(2, 5), (3, 3)]),
+        picks=st.lists(st.integers(1, 10**6), min_size=1, max_size=6),
+    )
+    def check(mp, picks):
+        m, p = mp
+        n = num_vertices(m, p)
+        neg = digraphs.negation_map(m, p)
+        half = [1 + v % (n - 1) for v in picks]
+        s = ConnectionSet(half + [int(neg[v]) for v in half], m, p)
+        got = is_connected(s)
+        assert got == _bfs_is_connected(s)
+        outcomes.add(got)
+
+    check()
+    assert outcomes == {True, False}
 
 
 def test_preserves_set_stated_witnesses_p5():

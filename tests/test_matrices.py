@@ -2,12 +2,17 @@
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbicert.errors import DimensionMismatch, Singular, ZeroTensor
+from orbicert.groups import LinPart
 from orbicert.matrices import (
     Matrix,
     Tensor,
+    all_coords,
     decode_index,
     encode_coords,
     gl2_count,
@@ -17,6 +22,7 @@ from orbicert.matrices import (
     mat_rank,
     num_vertices,
     pgl2_points,
+    product_image,
     simple_factorize,
     tensor_apply,
 )
@@ -163,6 +169,35 @@ def test_tensor_apply_is_right_action_exhaustive_p3():
     for a, b in pairs:
         for x in tensors:
             assert tensor_apply(a, b, x).rank() == x.rank()
+
+
+def _invertible(n: int, p: int):
+    return (
+        st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n)
+        .map(lambda e: Matrix([e[i * n : (i + 1) * n] for i in range(n)], p))
+        .filter(lambda a: a.is_invertible())
+    )
+
+
+@pytest.mark.parametrize("m, examples", [(2, 6), (3, 2)])
+def test_kronecker_image_matches_the_scalar_action(m, examples):
+    # every vertex, through LinPart.apply on Tensors, for a general (A, B)
+    p = 5
+    digits = all_coords(m, p).reshape(-1, 2 * m)
+
+    @settings(max_examples=examples, deadline=None, derandomize=True)
+    @given(
+        a=_invertible(2, p),
+        b=_invertible(m, p).filter(lambda b: b != Matrix.identity(m, p)),
+    )
+    def check(a, b):
+        lin = LinPart(a, b)
+        expected = [
+            lin.apply(Tensor.from_index(v, m, p)).index for v in range(len(digits))
+        ]
+        assert np.array_equal(product_image(digits, a, b, p), expected)
+
+    check()
 
 
 def test_simple_factorize_examples():
