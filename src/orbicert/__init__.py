@@ -25,7 +25,6 @@ from .cliques import (
     CliqueId,
     MuConfig,
     ell_clique,
-    enumerate_size_cliques,
     pi_projection,
     projection_coeffs,
     tensor_from_projections,

@@ -193,9 +193,7 @@ TWO_CLOSED_MU: dict[int, tuple[tuple[int, ...], tuple[str, ...]]] = {
 Q17_MUS = (1, 2, 8, 9, 15, 16)
 
 
-def certify_two_closed(
-    p: int, m: int, seed: int = DEFAULT_SEED, samples: int = 100_000
-) -> Certificate:
+def certify_two_closed(p: int, m: int, seed: int = DEFAULT_SEED) -> Certificate:
     """Certify that the rank-r group at this prime equals its 2-closure.
 
     Stages: (a) the configured slopes realize the stated orbital union;
@@ -225,7 +223,7 @@ def certify_two_closed(
         raise CertificationFailed("two-closed", "delta-union mismatch", p)
 
     # (b) clique geometry
-    evidence["clique_axioms"] = verify_clique_axioms(cfg, seed=seed, samples=samples)
+    evidence["clique_axioms"] = verify_clique_axioms(cfg, seed=seed)
 
     # (c) stabilizer pinning
     pair = [DirectionSet(ds, p) for ds in TWO_CLOSED_PAIRS[p]]
@@ -253,7 +251,7 @@ def certify_two_closed(
     return cert
 
 
-def certify_q17(m: int, seed: int = DEFAULT_SEED, samples: int = 100_000) -> Certificate:
+def certify_q17(m: int, seed: int = DEFAULT_SEED) -> Certificate:
     """Certify that at p=17 the union of the first two orbitals is rigid:
     its linear automorphisms reduce to the dihedral group up to scalars."""
     p = 17
@@ -270,7 +268,7 @@ def certify_q17(m: int, seed: int = DEFAULT_SEED, samples: int = 100_000) -> Cer
     if want != set(Q17_MUS):
         raise CertificationFailed("q17-rigidity", "mu set mismatch")
 
-    evidence["clique_axioms"] = verify_clique_axioms(cfg, seed=seed, samples=samples)
+    evidence["clique_axioms"] = verify_clique_axioms(cfg, seed=seed)
 
     ds = DirectionSet(Q17_MUS, p)
     report = stabilizer_intersection_report([ds], p)
@@ -565,7 +563,8 @@ def scan_primes(max_p: int) -> Certificate:
     slopes must be exactly {7, 13}.  The rigidity reading of a clean slope
     (the corresponding orbital digraph has no extra automorphisms, so the
     group is a digraph automorphism group) is conditional on the clique
-    geometry bound, which is certified separately at desk scale.
+    geometry bound, which ``verify_clique_axioms`` certifies separately,
+    one prime at a time.
     """
     if max_p > 10**4:
         raise ParameterTooLarge("scan gated to max_p <= 10^4")

@@ -211,7 +211,12 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--z", type=int, default=None, help="number of slopes (4 or 6)")
         sp.add_argument("--mu", type=str, default=None, help="comma-separated slopes, e.g. 1,2,3,4")
         sp.add_argument("--max-prime", type=int, default=500)
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        sp.add_argument(
+            "--seed",
+            type=int,
+            default=DEFAULT_SEED,
+            help="reserved; no certificate samples (echoed in run_config)",
+        )
         sp.add_argument(
             "--jobs",
             type=int,

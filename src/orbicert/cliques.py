@@ -7,32 +7,39 @@ blocks, and every vertex x has unique W-parts pi_i(x) with
     x = (e1 + mu_i e2) (x) pi_i(x) + (e1 + mu_{i+1} e2) (x) pi_{i+1}(x).
 
 The level sets ell_i(x) = {y : pi_i(y) = pi_i(x)} are the maximum cliques
-of the Cayley graph on the union of the z direction blocks; everything
-here is either an exhaustive desk-scale check of that geometry or a
-seeded sampled check at the two larger primes.
+of the Cayley graph on the union S of the z direction blocks.
+``verify_clique_axioms`` checks that geometry exactly at every prime, by
+linearity and translation, with no sampling.  Each check's
+``instances_checked`` counts what it certifies, n = p^(2m) vertices:
+
+    reconstruction                    n z/2        vertex, pair (i, i+1)
+    projection_relations              n z(z-1) z   vertex, triple (i, j, k)
+    projection_linearity              n^2 + p n    sum x + y, multiple k x
+    two_projections_determine         n C(z,2)     vertex, pair i < j
+    clique_intersection               p^2m C(z,2)  ell_i- and ell_j-clique
+    parallel_partition                z n          vertex, class i
+    adjacency_iff_shared_projection   n^2          vertex pair (x, y)
+    cliques_are_cliques, clique_census  z n / p^m  ell-clique
+
+The first three follow from additivity on generators plus the basis, the
+next three from one bincount per pair, and the last three from the checks
+at 0 by translation (see ``verify_clique_axioms``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, permutations
 
 import numpy as np
 
-from .digraphs import ConnectionSet
-from .errors import (
-    DegenerateConfig,
-    IndexOutOfRange,
-    LemmaViolation,
-    ParameterTooLarge,
-)
+from .digraphs import ConnectionSet, _translated
+from .errors import DegenerateConfig, IndexOutOfRange, LemmaViolation
 from .fields import fp_inv
 from .matrices import Tensor, all_coords, encode_array, num_vertices
 
 DEFAULT_SEED = 1729
-FULL_CENSUS_MAX = 10**4
-SAMPLED_INSTANCES = 100_000
-SAMPLED_VERTICES = 10**4
 
 
 @dataclass(frozen=True)
@@ -180,61 +187,45 @@ def delta_connection_set(cfg: MuConfig) -> ConnectionSet:
 
 
 def ell_clique(clique: CliqueId, cfg: MuConfig) -> frozenset[int]:
-    """All vertices sharing the i-th projection with the representative."""
-    return frozenset(int(v) for v in _ell_indices(cfg, clique.i, clique.rep))
+    """All vertices sharing the i-th projection with the representative.
 
-
-def _ell_indices(cfg: MuConfig, i: int, rep: int) -> np.ndarray:
-    """Coset rep + <e1 + mu_i' e2> (x) W, as vertex indices."""
-    j = cfg.partner(i)
-    p, m = cfg.p, cfg.m
-    qm = p**m
-    idx = np.arange(qm, dtype=np.int64)
-    digits = np.empty((qm, m), dtype=np.int64)
-    t = idx.copy()
-    for k in range(m):
-        digits[:, k] = t % p
-        t //= p
-    muj = cfg.mu(j)
-    rep_coords = all_coords(m, p)[int(rep)]
-    r1 = (rep_coords[0] + digits) % p
-    r2 = (rep_coords[1] + muj * digits) % p
-    return encode_array(np.stack([r1, r2], axis=1), p)
-
-
-def enumerate_size_cliques(s: ConnectionSet, target: int) -> list[frozenset[int]]:
-    """All maximal cliques of size >= target, by branch-and-bound pivoting.
-
-    Full-enumeration mode only; gated to p^(2m) <= 10^4 vertices.  The
-    recursion is the pivoting scheme over big-int adjacency bitsets with
-    branches abandoned once |R| + |P| drops below the target.
+    That is the coset rep + <e1 + mu_i' e2> (x) W, with i' the partner of i.
     """
-    n = num_vertices(s.m, s.p)
-    if n > FULL_CENSUS_MAX:
-        raise ParameterTooLarge(f"full clique census gated to {FULL_CENSUS_MAX} vertices")
-    coords = all_coords(s.m, s.p)
-    adj = []
-    for v in range(n):
-        nbrs = encode_array((coords[v] + coords[s.members]) % s.p, s.p)
-        bits = 0
-        for u in nbrs:
-            bits |= 1 << int(u)
-        adj.append(bits)
+    p, m = cfg.p, cfg.m
+    w = all_coords(m, p)[: p**m, 0]  # the vertices below p^m are W x 0
+    rep = all_coords(m, p)[int(clique.rep)]
+    rows = [(rep[0] + w) % p, (rep[1] + cfg.mu(cfg.partner(clique.i)) * w) % p]
+    return frozenset(encode_array(np.stack(rows, axis=1), p).tolist())
+
+
+def cliques_through_zero(s: ConnectionSet, target: int) -> list[frozenset[int]]:
+    """Every maximal clique of Cay(T, S) through 0 with >= target vertices.
+
+    Such a clique is 0 plus a maximal clique of the graph induced on S, the
+    neighbourhood of 0, so the pivoting branch-and-bound of Tomita, Tanaka
+    and Takahashi (TCS 363, 2006) runs over |S|-bit adjacency bitsets and
+    abandons a branch once |R| + |P| drops below the target.
+    """
+    members = s.members
+    coords = all_coords(s.m, s.p)[members]
+    adj: list[int] = []
+    for lo in range(0, members.size, 128):
+        diffs = encode_array((coords[None, :] - coords[lo : lo + 128, None]) % s.p, s.p)
+        rows = np.packbits(s.mask[diffs], axis=1, bitorder="little")
+        adj.extend(int.from_bytes(row.tobytes(), "little") for row in rows)
 
     found: list[frozenset[int]] = []
-    all_bits = (1 << n) - 1
+    need = target - 1  # vertices of S besides 0
 
-    def expand(r: list[int], p_bits: int, x_bits: int):
-        if len(r) + p_bits.bit_count() < target:
+    def expand(r: tuple[int, ...], p_bits: int, x_bits: int):
+        if len(r) + p_bits.bit_count() < need:
             return
         if p_bits == 0 and x_bits == 0:
-            if len(r) >= target:
-                found.append(frozenset(r))
+            found.append(frozenset([0, *(int(members[v]) for v in r)]))
             return
         # pivot on the candidate covering most of P
-        pool = p_bits | x_bits
         best, best_cover = -1, -1
-        probe = pool
+        probe = p_bits | x_bits
         while probe:
             u = (probe & -probe).bit_length() - 1
             cover = (p_bits & adj[u]).bit_count()
@@ -244,281 +235,148 @@ def enumerate_size_cliques(s: ConnectionSet, target: int) -> list[frozenset[int]
         branch = p_bits & ~adj[best]
         while branch:
             v = (branch & -branch).bit_length() - 1
-            vbit = 1 << v
-            r.append(v)
-            expand(r, p_bits & adj[v], x_bits & adj[v])
-            r.pop()
-            p_bits &= ~vbit
-            x_bits |= vbit
+            yield r + (v,), p_bits & adj[v], x_bits & adj[v]
+            p_bits &= ~(1 << v)
+            x_bits |= 1 << v
             branch &= branch - 1
-            if len(r) + p_bits.bit_count() < target:
+            if len(r) + p_bits.bit_count() < need:
                 return
 
-    expand([], all_bits, 0)
+    # each call yields its subcalls to this loop, so a clique of p^m
+    # vertices does not nest p^m Python frames (the limit is 1000)
+    calls = [expand((), (1 << members.size) - 1, 0)]
+    while calls:
+        sub = next(calls[-1], None)
+        if sub is None:
+            calls.pop()
+        else:
+            calls.append(expand(*sub))
     return found
 
 
-def _sample_indices(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    return rng.integers(0, n, size=count, dtype=np.int64)
+def verify_clique_axioms(cfg: MuConfig, seed: int = DEFAULT_SEED) -> dict:
+    """Check the projection/clique geometry exactly; ``seed`` is only echoed.
 
+    Additivity is checked on generators: pi(x + e_k) = pi(x) + pi(e_k) for
+    every x and each of the 2m basis vectors e_k.  By induction on
+    y = sum c_k e_k that gives pi(x + y) = pi(x) + pi(y) for all n^2 pairs,
+    and over F_p it gives pi(kx) = k pi(x) too.  A linear identity that
+    holds on the basis holds everywhere, so reconstruction and the
+    projection relations are then checked on the basis only.
 
-def verify_clique_axioms(
-    cfg: MuConfig,
-    seed: int = DEFAULT_SEED,
-    samples: int = SAMPLED_INSTANCES,
-    census: bool | None = None,
-) -> dict:
-    """Check the projection/clique geometry; exhaustive at desk scale.
+    Translation by -x is an automorphism of Cay(T, S) that maps
+    ell-cliques to ell-cliques, so the remaining claims are checked at 0:
+    adjacency iff a shared projection is the difference set S + 0 against
+    the vertices with a vanishing projection; the ell-cliques through 0 are
+    the kernels of the pi_i; and the census of maximal cliques of size
+    >= p^m is the census through 0, which must find exactly those z
+    kernels.  The module docstring lists what each ``instances_checked``
+    counts.
 
-    Exhaustive mode runs when p^(2m) <= 10^4 (and then includes the full
-    clique census unless ``census=False``); otherwise each lemma is checked
-    on >= ``samples`` seeded random instances, the pair-map injectivity is
-    still checked exactly, and the census is replaced by per-vertex local
-    neighborhood decompositions on 10^4 sampled vertices.
-
-    Returns a certificate payload; raises LemmaViolation on any failure.
+    Returns a certificate payload; raises LemmaViolation, naming the stage
+    and a vertex, pair or clique, on any failure.
     """
-    if cfg.p <= cfg.z:
-        raise DegenerateConfig(f"rigidity geometry needs p > z, got p={cfg.p}, z={cfg.z}")
-    n = num_vertices(cfg.m, cfg.p)
-    exhaustive = n <= FULL_CENSUS_MAX
-    if census is None:
-        census = exhaustive
-    vecs, codes = _pi_tables(cfg)
-    coords = all_coords(cfg.m, cfg.p)
-    members = delta_indices(cfg)
-    mask = np.zeros(n, dtype=bool)
-    mask[members] = True
     p, m, z = cfg.p, cfg.m, cfg.z
+    if p <= z:
+        raise DegenerateConfig(f"rigidity geometry needs p > z, got p={p}, z={z}")
+    n = num_vertices(m, p)
     qm = p**m
+    vecs, codes = _pi_tables(cfg)
+    s = delta_connection_set(cfg)
+    basis = p ** np.arange(2 * m, dtype=np.int64)  # vertex index of e_k
     checks: dict[str, dict] = {}
-    mode = "exhaustive" if exhaustive else "sampled"
 
-    def record(name: str, instances: int):
-        checks[name] = {"mode": mode, "instances_checked": int(instances), "status": "pass"}
+    def record(name: str, instances: int, **extra):
+        checks[name] = {
+            "mode": "exhaustive",
+            "instances_checked": int(instances),
+            "status": "pass",
+            **extra,
+        }
 
-    # --- reconstruction identity, every vertex, every pair (always exact)
+    # --- additivity on generators, as one roll of the digit grid per e_k
+    planes = vecs.reshape(n, z * m).T.reshape((z * m,) + (p,) * (2 * m))
+    for t in basis:
+        step = vecs[t].reshape((z * m,) + (1,) * (2 * m))
+        bad = _translated(planes, t, m, p) != (planes + step) % p
+        bad = bad.reshape(z * m, n).any(axis=0)
+        if bad.any():
+            raise LemmaViolation("projection-additive", {"x": int(bad.argmax()), "y": int(t)})
+    # by induction: additive on all n^2 pairs, so pi(kx) = k pi(x) for all p n
+    record("projection_linearity", n * n + p * n)
+
+    # --- linear identities on the basis
+    on_basis, basis_coords = vecs[basis], all_coords(m, p)[basis]
     for i in range(1, z + 1, 2):
         j = i + 1
-        mi, mj = cfg.mu(i), cfg.mu(j)
-        a, b = vecs[:, i - 1, :], vecs[:, j - 1, :]
-        r1 = (a + b) % p
-        r2 = (mi * a + mj * b) % p
-        if not (
-            np.array_equal(r1, coords[:, 0, :]) and np.array_equal(r2, coords[:, 1, :])
-        ):
-            bad = int(np.nonzero((r1 != coords[:, 0, :]).any(axis=1))[0][0])
-            raise LemmaViolation("reconstruction", {"pair": (i, j), "vertex": bad})
+        a, b = on_basis[:, i - 1], on_basis[:, j - 1]
+        rebuilt = np.stack([(a + b) % p, (cfg.mu(i) * a + cfg.mu(j) * b) % p], axis=1)
+        bad = (rebuilt != basis_coords).any(axis=(1, 2))
+        if bad.any():
+            raise LemmaViolation(
+                "reconstruction", {"pair": (i, j), "vertex": int(basis[bad.argmax()])}
+            )
     record("reconstruction", n * (z // 2))
 
-    # --- pair-map injectivity: (pi_i, pi_j) determines the vertex (exact)
-    for i in range(1, z + 1):
-        for j in range(i + 1, z + 1):
-            pair_code = codes[:, i - 1] * qm + codes[:, j - 1]
-            if np.unique(pair_code).size != n:
-                raise LemmaViolation("two-projections-determine", {"pair": (i, j)})
-    record("two_projections_determine", n * z * (z - 1) // 2)
-
-    # --- coefficient relations pi_k in terms of pi_i, pi_j (exact)
-    for i in range(1, z + 1):
-        for j in range(1, z + 1):
-            if i == j:
-                continue
-            for k in range(1, z + 1):
-                k1, k2 = projection_coeffs(i, j, k, cfg)
-                if k not in (i, j) and (k1 == 0 or k2 == 0):
-                    raise LemmaViolation(
-                        "projection-relations-nonzero", {"triple": (i, j, k)}
-                    )
-                lhs = vecs[:, k - 1, :]
-                rhs = (k1 * vecs[:, i - 1, :] + k2 * vecs[:, j - 1, :]) % p
-                if not np.array_equal(lhs, rhs):
-                    raise LemmaViolation("projection-relations", {"triple": (i, j, k)})
+    for i, j in permutations(cfg.index_set, 2):
+        for k in cfg.index_set:
+            k1, k2 = projection_coeffs(i, j, k, cfg)
+            if k not in (i, j) and (k1 == 0 or k2 == 0):
+                raise LemmaViolation(
+                    "projection-relations-nonzero", {"triple": (i, j, k), "coeffs": (k1, k2)}
+                )
+            rhs = (k1 * on_basis[:, i - 1] + k2 * on_basis[:, j - 1]) % p
+            bad = (on_basis[:, k - 1] != rhs).any(axis=1)
+            if bad.any():
+                raise LemmaViolation(
+                    "projection-relations",
+                    {"triple": (i, j, k), "vertex": int(basis[bad.argmax()])},
+                )
     record("projection_relations", n * z * (z - 1) * z)
 
-    rng = np.random.default_rng(seed)
-
-    # --- linearity of the projections, and direct pairwise adjacency checks
-    pairwise_adjacency_checked = 0
-    if exhaustive:
-        block = max(1, 500_000 // n)
-        for lo in range(0, n, block):
-            xs_b = np.arange(lo, min(lo + block, n), dtype=np.int64)
-            sums = encode_array((coords[xs_b][:, None] + coords[None, :]) % p, p)
-            want = (vecs[xs_b][:, None] + vecs[None, :]) % p
-            if not np.array_equal(vecs[sums], want):
-                where = np.nonzero((vecs[sums] != want).any(axis=(2, 3)))
-                raise LemmaViolation(
-                    "projection-additive",
-                    {"x": int(xs_b[where[0][0]]), "y": int(where[1][0])},
-                )
-            diffs = encode_array((coords[xs_b][:, None] - coords[None, :]) % p, p)
-            shared = (codes[xs_b][:, None] == codes[None, :]).any(axis=2)
-            arcs = mask[diffs] | (diffs == 0)
-            if not np.array_equal(arcs, shared):
-                where = np.nonzero(arcs != shared)
-                raise LemmaViolation(
-                    "adjacency-shared-projection",
-                    {"x": int(xs_b[where[0][0]]), "y": int(where[1][0])},
-                )
-            pairwise_adjacency_checked += xs_b.size * n
-        add_count = n * n
-    else:
-        xs = _sample_indices(rng, n, samples)
-        ys = _sample_indices(rng, n, samples)
-        idx = encode_array((coords[xs] + coords[ys]) % p, p)
-        if not np.array_equal(vecs[idx], (vecs[xs] + vecs[ys]) % p):
-            bad = int(np.nonzero((vecs[idx] != (vecs[xs] + vecs[ys]) % p).any(axis=(1, 2)))[0][0])
+    # --- (pi_i, pi_j) is a bijection onto W x W: one bincount per pair.
+    # Its fibres are the intersections of the ell_i- and ell_j-cliques, and
+    # the fibres of pi_i alone then have p^m vertices each.
+    for i, j in combinations(cfg.index_set, 2):
+        pair_code = codes[:, i - 1] * qm + codes[:, j - 1]
+        counts = np.bincount(pair_code, minlength=qm * qm)
+        if (counts != 1).any():  # n = qm^2 codes, so one is shared
+            x, y = np.flatnonzero(pair_code == counts.argmax())[:2]
             raise LemmaViolation(
-                "projection-additive", {"x": int(xs[bad]), "y": int(ys[bad])}
+                "two-projections-determine", {"pair": (i, j), "x": int(x), "y": int(y)}
             )
-        add_count = samples
-    for kappa in range(p):
-        idx = encode_array((kappa * coords) % p, p)
-        if not np.array_equal(vecs[idx], (kappa * vecs) % p):
-            raise LemmaViolation("projection-scalar", {"kappa": kappa})
-    checks["projection_linearity"] = {
-        "mode": mode,
-        "instances_checked": int(add_count + p * n),
-        "status": "pass",
-    }
+    record("two_projections_determine", n * z * (z - 1) // 2)
+    record("clique_intersection", qm * qm * z * (z - 1) // 2)
+    record("parallel_partition", z * n)
 
-    # --- adjacency iff shared projection
-    zero_proj = (codes == 0).any(axis=1)
-    diff_ok = np.nonzero(zero_proj)[0]
-    expected = np.concatenate(([0], members))
-    if not np.array_equal(diff_ok, np.sort(expected)):
-        raise LemmaViolation("adjacency-shared-projection", "difference sets disagree")
-    if exhaustive:
-        pair_count = pairwise_adjacency_checked  # done in the blocked loop above
-    else:
-        xs = _sample_indices(rng, n, samples)
-        ys = _sample_indices(rng, n, samples)
-        d = encode_array((coords[xs] - coords[ys]) % p, p)
-        shared = (codes[xs] == codes[ys]).any(axis=1)
-        arcs = mask[d] | (d == 0)
-        bad = np.nonzero(arcs != shared)[0]
-        if bad.size:
-            raise LemmaViolation(
-                "adjacency-shared-projection",
-                {"x": int(xs[bad[0]]), "y": int(ys[bad[0]])},
-            )
-        pair_count = samples
-    checks["adjacency_iff_shared_projection"] = {
-        "mode": mode,
-        "instances_checked": int(pair_count),
-        "status": "pass",
-    }
+    # --- at 0: x - y is in S iff some pi_i(x - y) = pi_i(x) - pi_i(y) is 0
+    joined = s.mask.copy()
+    joined[0] = True
+    bad = joined != (codes == 0).any(axis=1)
+    if bad.any():
+        raise LemmaViolation("adjacency-shared-projection", {"x": int(bad.argmax()), "y": 0})
+    record("adjacency_iff_shared_projection", n * n)
 
-    # --- clique geometry
-    if exhaustive:
-        clique_count = 0
-        all_cliques: dict[int, list[np.ndarray]] = {}
-        for i in cfg.index_set:
-            # distinct cosets = distinct pi_i codes
-            order = np.argsort(codes[:, i - 1], kind="stable")
-            sorted_codes = codes[order, i - 1]
-            starts = np.nonzero(np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])[0]
-            groups = np.split(order, starts[1:])
-            if len(groups) != qm:
-                raise LemmaViolation("clique-count", {"i": i, "got": len(groups)})
-            for g in groups:
-                if g.size != qm:
-                    raise LemmaViolation("clique-size", {"i": i, "size": int(g.size)})
-                d = encode_array((coords[g][:, None] - coords[g][None, :]) % p, p)
-                off = ~np.eye(g.size, dtype=bool)
-                if not mask[d[off]].all():
-                    raise LemmaViolation("clique-internal-arcs", {"i": i})
-            all_cliques[i] = groups
-            clique_count += len(groups)
-        record("cliques_are_cliques", clique_count)
+    # the ell-cliques through 0 are the kernels of the pi_i: p^m vertices
+    # each by the bijection, and inside S + 0 by the adjacency check
+    kernels = [frozenset(np.flatnonzero(codes[:, i - 1] == 0).tolist()) for i in cfg.index_set]
+    record("cliques_are_cliques", z * qm)
 
-        # pairwise intersections across classes are single vertices
-        inter_checked = 0
-        for i in cfg.index_set:
-            for j in cfg.index_set:
-                if j <= i:
-                    continue
-                pair_code = codes[:, i - 1] * qm + codes[:, j - 1]
-                counts = np.bincount(pair_code, minlength=qm * qm)
-                if not (counts == 1).all():
-                    raise LemmaViolation("clique-intersection", {"pair": (i, j)})
-                inter_checked += qm * qm
-        record("clique_intersection", inter_checked)
-
-        # parallel cliques partition the space
-        for i in cfg.index_set:
-            sizes = np.bincount(codes[:, i - 1], minlength=qm)
-            if not (sizes == qm).all():
-                raise LemmaViolation("parallel-partition", {"i": i})
-        record("parallel_partition", z * n)
-
-        if census:
-            target = qm
-            s = delta_connection_set(cfg)
-            cliques = enumerate_size_cliques(s, target)
-            expected_cliques = {
-                frozenset(int(v) for v in g) for groups in all_cliques.values() for g in groups
-            }
-            if {frozenset(c) for c in cliques} != expected_cliques:
-                raise LemmaViolation(
-                    "clique-census",
-                    {"found": len(cliques), "expected": len(expected_cliques)},
-                )
-            checks["clique_census"] = {
-                "mode": "exhaustive",
-                "instances_checked": len(cliques),
-                "status": "pass",
-                "maximum_cliques": len(cliques),
-                "clique_size": target,
-            }
-    else:
-        # sampled: local neighborhood decomposition at 10^4 seeded vertices
-        sample_v = rng.choice(n, size=min(SAMPLED_VERTICES, n), replace=False)
-        deg = members.size
-        for x in sample_v:
-            nbrs = encode_array((coords[int(x)] + coords[members]) % p, p)
-            shared = (codes[nbrs] == codes[int(x)]).any(axis=1)
-            if not shared.all():
-                raise LemmaViolation("local-neighborhood", {"x": int(x)})
-        checks["local_neighborhood"] = {
-            "mode": "sampled",
-            "instances_checked": int(sample_v.size * deg),
-            "status": "pass",
-        }
-        # sampled internal arcs of ell cliques
-        xs = _sample_indices(rng, n, samples)
-        iss = rng.integers(1, z + 1, size=samples)
-        partners = np.where(iss % 2 == 1, iss + 1, iss - 1)
-        mus = np.array([0] + list(cfg.mus), dtype=np.int64)
-        w = rng.integers(0, qm, size=samples, dtype=np.int64)
-        w_digits = np.empty((samples, m), dtype=np.int64)
-        t = w.copy()
-        for k in range(m):
-            w_digits[:, k] = t % p
-            t //= p
-        r1 = (coords[xs][:, 0, :] + w_digits) % p
-        r2 = (coords[xs][:, 1, :] + mus[partners][:, None] * w_digits) % p
-        other = encode_array(np.stack([r1, r2], axis=1), p)
-        same = (codes[other][np.arange(samples), iss - 1] == codes[xs][np.arange(samples), iss - 1])
-        if not same.all():
-            bad = int(np.nonzero(~same)[0][0])
-            raise LemmaViolation("ell-membership", {"x": int(xs[bad]), "i": int(iss[bad])})
-        nonzero_w = w != 0
-        d = encode_array((coords[other] - coords[xs]) % p, p)
-        if not mask[d[nonzero_w]].all():
-            raise LemmaViolation("ell-internal-arcs", None)
-        checks["ell_cliques_sampled"] = {
-            "mode": "sampled",
-            "instances_checked": int(samples),
-            "status": "pass",
-        }
+    found = cliques_through_zero(s, qm)
+    not_ell = [sorted(c) for c in found if c not in kernels]
+    missing = [CliqueId(i, 0) for i, k in zip(cfg.index_set, kernels) if k not in found]
+    if not_ell or missing:
+        raise LemmaViolation(
+            "clique-census",
+            {"found": len(found), "not_ell": not_ell[:1], "missing": missing[:1]},
+        )
+    record("clique_census", z * qm, maximum_cliques=z * qm, clique_size=qm)
 
     return {
         "config": {"z": z, "mus": list(cfg.mus), "m": m, "p": p},
-        "mode": mode,
+        "mode": "exhaustive",
         "seed": int(seed),
         "vertices": int(n),
-        "connection_set_size": int(members.size),
+        "connection_set_size": len(s),
         "checks": checks,
     }

@@ -1,0 +1,63 @@
+"""Shared test oracles."""
+
+import pytest
+
+from orbicert.matrices import all_coords, encode_array, num_vertices
+
+
+def enumerate_size_cliques(s, target):
+    """All maximal cliques of Cay(T, S) of size >= target, over all vertices.
+
+    The reference for the census through 0 in ``orbicert.cliques``: the
+    same pivoting branch-and-bound, but over big-int adjacency bitsets of
+    all p^(2m) vertices, with no translation argument.  Desk scale only.
+    """
+    n = num_vertices(s.m, s.p)
+    coords = all_coords(s.m, s.p)
+    adj = []
+    for v in range(n):
+        nbrs = encode_array((coords[v] + coords[s.members]) % s.p, s.p)
+        bits = 0
+        for u in nbrs:
+            bits |= 1 << int(u)
+        adj.append(bits)
+
+    found = []
+
+    def expand(r, p_bits, x_bits):
+        if len(r) + p_bits.bit_count() < target:
+            return
+        if p_bits == 0 and x_bits == 0:
+            if len(r) >= target:
+                found.append(frozenset(r))
+            return
+        pool = p_bits | x_bits
+        best, best_cover = -1, -1
+        probe = pool
+        while probe:
+            u = (probe & -probe).bit_length() - 1
+            cover = (p_bits & adj[u]).bit_count()
+            if cover > best_cover:
+                best, best_cover = u, cover
+            probe &= probe - 1
+        branch = p_bits & ~adj[best]
+        while branch:
+            v = (branch & -branch).bit_length() - 1
+            vbit = 1 << v
+            r.append(v)
+            expand(r, p_bits & adj[v], x_bits & adj[v])
+            r.pop()
+            p_bits &= ~vbit
+            x_bits |= vbit
+            branch &= branch - 1
+            if len(r) + p_bits.bit_count() < target:
+                return
+
+    expand([], (1 << n) - 1, 0)
+    return found
+
+
+@pytest.fixture
+def size_cliques():
+    """The all-vertex clique census, as a fixture so any import mode finds it."""
+    return enumerate_size_cliques

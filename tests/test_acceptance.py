@@ -44,7 +44,6 @@ from orbicert.cliques import (
     MuConfig,
     delta_connection_set,
     ell_clique,
-    enumerate_size_cliques,
     verify_clique_axioms,
 )
 from orbicert.crossratio import (
@@ -241,13 +240,13 @@ def test_criterion_06_stabilizer_intersections():
         assert repaired["intersection_order"] == 48
 
         for p in (5, 7, 13):
-            cert = certify_two_closed(p, 2, samples=5000)
+            cert = certify_two_closed(p, 2)
             assert cert.status == "verified"
 
 
 def test_criterion_07_q17_rigidity():
     with Budget("7", 60.0):
-        cert = certify_q17(2, samples=5000)
+        cert = certify_q17(2)
         assert cert.status == "verified"
         rep = cert.evidence["stabilizer"]
         assert rep["gl2_enumerated"] == 78336
@@ -256,14 +255,14 @@ def test_criterion_07_q17_rigidity():
         assert rep["dihedral_core_size"] == 8
 
 
-def test_criterion_08_clique_census():
+def test_criterion_08_clique_census(size_cliques):
     with Budget("8", 120.0):
         for p, mus, target, count in [
             (5, (1, 2, 3, 4), 25, 100),
             (7, (2, 3, 4, 5), 49, 196),
         ]:
             cfg = MuConfig(z=4, mus=mus, m=2, p=p)
-            found = enumerate_size_cliques(delta_connection_set(cfg), target)
+            found = size_cliques(delta_connection_set(cfg), target)
             assert len(found) == count
             assert all(len(c) == target for c in found)
             for c in found:
@@ -280,17 +279,16 @@ def test_criterion_09_clique_structural_lemmas():
             assert out["mode"] == "exhaustive"
             assert all(c["status"] == "pass" for c in out["checks"].values())
         for p, mus, z in [(13, (2, 6, 7, 11), 4), (17, (1, 2, 8, 9, 15, 16), 6)]:
-            out = verify_clique_axioms(
-                MuConfig(z=z, mus=mus, m=2, p=p), samples=100_000
+            out = verify_clique_axioms(MuConfig(z=z, mus=mus, m=2, p=p))
+            assert out["mode"] == "exhaustive"
+            assert all(
+                c["mode"] == "exhaustive" and c["status"] == "pass"
+                for c in out["checks"].values()
             )
-            assert out["mode"] == "sampled"
-            assert all(c["status"] == "pass" for c in out["checks"].values())
-            for name in (
-                "projection_linearity",
-                "adjacency_iff_shared_projection",
-                "ell_cliques_sampled",
-            ):
-                assert out["checks"][name]["instances_checked"] >= 100_000
+            assert out["checks"]["clique_census"]["maximum_cliques"] == z * p**2
+            n = p**4
+            linearity = out["checks"]["projection_linearity"]["instances_checked"]
+            assert linearity == n * n + p * n
 
 
 def test_criterion_10_cross_ratio_table():

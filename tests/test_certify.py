@@ -136,7 +136,7 @@ def test_two_closed_certificates():
     assert c5.evidence["stabilizer_pair"]["intersection_equals_scalar_closure_of_d8"]
     assert "stabilizer_all_suborbits" not in c5.evidence
 
-    c13 = certify_two_closed(13, 2, samples=5000)
+    c13 = certify_two_closed(13, 2)
     assert c13.status == "verified"
     assert not c13.evidence["stabilizer_pair"][
         "intersection_equals_scalar_closure_of_d8"
@@ -147,7 +147,7 @@ def test_two_closed_certificates():
 
 
 def test_q17_certificate_and_corruption():
-    cert = certify_q17(2, samples=5000)
+    cert = certify_q17(2)
     assert cert.status == "verified"
     rep = cert.evidence["stabilizer"]
     assert rep["gl2_enumerated"] == 78336

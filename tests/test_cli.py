@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import orbicert.cliques as cliques
 from orbicert import cli
 from orbicert.cli import main
 from orbicert.errors import CertificationFailed
@@ -124,6 +125,18 @@ def test_certification_error_exit_1(capsys, monkeypatch):
     assert "certification failed" in err
 
 
+def test_a_lemma_violation_exits_1_naming_its_counterexample(capsys, monkeypatch):
+    # pi_1 and pi_2 swapped: the first rows still add up, the second do not
+    vecs, codes = cliques._pi_tables(cliques.MuConfig(z=4, mus=(1, 2, 3, 4), m=2, p=5))
+    swapped = (vecs[:, [1, 0, 2, 3]], codes[:, [1, 0, 2, 3]])
+    monkeypatch.setattr(cliques, "_pi_tables", lambda cfg: swapped)
+    code, out, err = run_cli(capsys, "verify", "cliques", "--p", "5", "--mu", "1,2,3,4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: check failed: reconstruction")
+    assert "'vertex':" in err and err.count("\n") == 1
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -167,6 +180,30 @@ REFERENCE = json.loads(
 )
 def test_reference_hashes(capsys, command, expected):
     # the benchmark refuses a run whose seed-1729 hash differs from these
+    argv = [*command.split(), "--format", "json", "--seed", "1729"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["content_hash"] == expected
+
+
+# seed-1729 reports at p <= 7 that the benchmark reference does not hold
+PINNED = {
+    "verify two-closed --p 7": (
+        "af7617ff69c8a93c24167bce11fbbf72f07cb26c405e97581e689c7ef57f46fe"
+    ),
+    "verify cliques --p 7 --mu 2,3,4,5": (
+        "382378db8551c71c401b75db0f42af1d0d6632697c5b4ec058871cf907b4505e"
+    ),
+    "verify cliques --p 5 --mu 1,2,3,4": (
+        "c1d588214995c71be96ae9b334d834215065cf13a5039a7f1e229ff14faeb743"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, expected", [pytest.param(cmd, h, id=cmd) for cmd, h in PINNED.items()]
+)
+def test_pinned_hashes(capsys, command, expected):
     argv = [*command.split(), "--format", "json", "--seed", "1729"]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0

@@ -1,23 +1,27 @@
 """Projection coordinates and the parallel-clique geometry."""
 
+import inspect
 import random
+import sys
 
+import numpy as np
 import pytest
 
+import orbicert.cliques as cliques
 from orbicert.cliques import (
     CliqueId,
     MuConfig,
+    cliques_through_zero,
     delta_connection_set,
     ell_clique,
-    enumerate_size_cliques,
     pi_projection,
     projection_coeffs,
     tensor_from_projections,
     verify_clique_axioms,
 )
-from orbicert.errors import DegenerateConfig, IndexOutOfRange, ParameterTooLarge
+from orbicert.errors import DegenerateConfig, IndexOutOfRange, LemmaViolation
 from orbicert.fields import fp_inv
-from orbicert.matrices import Tensor, num_vertices
+from orbicert.matrices import Tensor, all_coords, encode_array, num_vertices
 
 
 CFG5 = MuConfig(z=4, mus=(1, 2, 3, 4), m=2, p=5)
@@ -159,10 +163,10 @@ def test_ell_cliques():
         assert len(cl & other) == 1
 
 
-def test_census_p5_exact():
+def test_census_p5_exact(size_cliques):
     cfg = CFG5
     s = delta_connection_set(cfg)
-    found = enumerate_size_cliques(s, 25)
+    found = size_cliques(s, 25)
     assert len(found) == 100
     assert all(len(c) == 25 for c in found)
     expected = set()
@@ -172,9 +176,27 @@ def test_census_p5_exact():
     assert set(found) == expected
 
 
-def test_census_guard():
-    with pytest.raises(ParameterTooLarge):
-        enumerate_size_cliques(delta_connection_set(CFG13), 169)
+@pytest.mark.parametrize("cfg", [CFG5, CFG7], ids=["p5", "p7"])
+def test_census_through_zero_is_the_full_census_at_zero(cfg, size_cliques):
+    s = delta_connection_set(cfg)
+    qm = cfg.p**cfg.m
+    full = size_cliques(s, qm)
+    through_zero = cliques_through_zero(s, qm)
+    assert len(through_zero) == cfg.z
+    assert set(through_zero) == {c for c in full if 0 in c}
+
+
+def test_census_depth_is_not_bounded_by_the_recursion_limit():
+    # a clique of p^m vertices must not nest p^m Python frames: at p = 31
+    # that is near the default limit of 1000
+    s = delta_connection_set(CFG7)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 20)
+    try:
+        found = cliques_through_zero(s, 49)
+    finally:
+        sys.setrecursionlimit(old)
+    assert {ell_clique(CliqueId(i, 0), CFG7) for i in CFG7.index_set} == set(found)
 
 
 def test_axioms_exhaustive_p5():
@@ -185,11 +207,124 @@ def test_axioms_exhaustive_p5():
     assert out["connection_set_size"] == 96
 
 
-def test_axioms_sampled_p13_small_run():
-    out = verify_clique_axioms(CFG13, seed=7, samples=2000)
-    assert out["mode"] == "sampled"
-    assert "clique_census" not in out["checks"]
-    assert all(c["status"] == "pass" for c in out["checks"].values())
-    # deterministic given the seed
-    again = verify_clique_axioms(CFG13, seed=7, samples=2000)
-    assert out == again
+def test_axioms_exhaustive_p13():
+    out = verify_clique_axioms(CFG13, seed=7)
+    assert out["mode"] == "exhaustive"
+    assert all(
+        c["mode"] == "exhaustive" and c["status"] == "pass" for c in out["checks"].values()
+    )
+    census = out["checks"]["clique_census"]
+    assert census["maximum_cliques"] == 4 * 13**2 and census["clique_size"] == 169
+    # the seed is echoed and changes nothing else
+    again = verify_clique_axioms(CFG13)
+    assert again["seed"] == 1729 and {**out, "seed": 1729} == again
+
+
+def test_census_through_zero_p13():
+    found = cliques_through_zero(delta_connection_set(CFG13), 169)
+    assert set(found) == {ell_clique(CliqueId(i, 0), CFG13) for i in CFG13.index_set}
+
+
+# --- failures name their stage and a concrete counterexample
+
+
+def use_table(monkeypatch, cfg, edit):
+    """Make the verifier read a copy of the pi table changed by ``edit``."""
+    vecs = cliques._pi_tables(cfg)[0].copy()
+    edit(vecs)
+    codes = vecs @ cfg.p ** np.arange(cfg.m)
+    monkeypatch.setattr(cliques, "_pi_tables", lambda c: (vecs, codes))
+
+
+def vertex_sum(x, y, cfg):
+    coords = all_coords(cfg.m, cfg.p)
+    return int(encode_array((coords[x] + coords[y]) % cfg.p, cfg.p))
+
+
+@pytest.mark.parametrize("cfg", [CFG5, CFG13], ids=["p5", "p13"])
+def test_one_wrong_projection_entry_fails_additivity(monkeypatch, cfg):
+    def edit(vecs):
+        vecs[123, 2, 1] = (vecs[123, 2, 1] + 1) % cfg.p
+
+    use_table(monkeypatch, cfg, edit)
+    vecs = cliques._pi_tables(cfg)[0]
+    with pytest.raises(LemmaViolation) as err:
+        verify_clique_axioms(cfg)
+    assert err.value.lemma == "projection-additive"
+    x, y = err.value.counterexample["x"], err.value.counterexample["y"]
+    assert y in cfg.p ** np.arange(2 * cfg.m)  # a generator e_k
+    assert not np.array_equal(vecs[vertex_sum(x, y, cfg)], (vecs[x] + vecs[y]) % cfg.p)
+
+
+def test_reconstruction_failure_in_the_second_row_names_a_vertex(monkeypatch):
+    # swapping pi_1 and pi_2 keeps the table linear and r1 = pi_1 + pi_2
+    # right; only r2 = mu_1 pi_1 + mu_2 pi_2 is wrong
+    def edit(vecs):
+        vecs[:, [0, 1]] = vecs[:, [1, 0]]
+
+    use_table(monkeypatch, CFG5, edit)
+    with pytest.raises(LemmaViolation) as err:
+        verify_clique_axioms(CFG5)
+    assert err.value.lemma == "reconstruction"
+    assert err.value.counterexample["pair"] == (1, 2)
+    x = err.value.counterexample["vertex"]
+    assert x in 5 ** np.arange(4)  # a basis vector e_k
+    a, b = cliques._pi_tables(CFG5)[0][x, :2]
+    r1, r2 = all_coords(2, 5)[x]
+    assert np.array_equal((a + b) % 5, r1) and not np.array_equal((a + 2 * b) % 5, r2)
+
+
+@pytest.mark.parametrize(
+    "perturb, lemma",
+    [
+        (lambda k1, k2: ((k1 + 1) % 5, k2), "projection-relations"),
+        (lambda k1, k2: (0, k2), "projection-relations-nonzero"),
+    ],
+)
+def test_a_wrong_relation_coefficient_fails_the_relations(monkeypatch, perturb, lemma):
+    real = cliques.projection_coeffs
+
+    def coeffs(i, j, k, cfg):
+        k1, k2 = real(i, j, k, cfg)
+        return perturb(k1, k2) if (i, j, k) == (2, 3, 1) else (k1, k2)
+
+    monkeypatch.setattr(cliques, "projection_coeffs", coeffs)
+    with pytest.raises(LemmaViolation) as err:
+        verify_clique_axioms(CFG5)
+    assert err.value.lemma == lemma
+    assert err.value.counterexample["triple"] == (2, 3, 1)
+
+
+def without_pair(members, cfg):
+    """(t, -t, S minus the pair) for the first member t of S."""
+    t = int(members[0])
+    minus_t = int(encode_array(-all_coords(cfg.m, cfg.p)[t], cfg.p))
+    return t, minus_t, members[(members != t) & (members != minus_t)]
+
+
+def test_a_missing_pair_of_s_fails_adjacency(monkeypatch):
+    real = cliques.delta_indices
+    t, minus_t, smaller = without_pair(real(CFG5), CFG5)
+    monkeypatch.setattr(cliques, "delta_indices", lambda cfg: smaller)
+    with pytest.raises(LemmaViolation) as err:
+        verify_clique_axioms(CFG5)
+    assert err.value.lemma == "adjacency-shared-projection"
+    assert err.value.counterexample["y"] == 0
+    assert err.value.counterexample["x"] in (t, minus_t)
+
+
+def test_a_missing_pair_seen_by_the_census_alone_fails_the_census(monkeypatch):
+    real = cliques.cliques_through_zero
+
+    def census(s, target):
+        *_, smaller = without_pair(s.members, CFG5)
+        return real(cliques.ConnectionSet(smaller, s.m, s.p), target)
+
+    monkeypatch.setattr(cliques, "cliques_through_zero", census)
+    t = int(delta_connection_set(CFG5).members[0])
+    with pytest.raises(LemmaViolation) as err:
+        verify_clique_axioms(CFG5)
+    assert err.value.lemma == "clique-census"
+    (missing,) = err.value.counterexample["missing"]
+    assert missing.rep == 0 and t in ell_clique(missing, CFG5)
+    assert err.value.counterexample["found"] == CFG5.z - 1

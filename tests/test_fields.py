@@ -1,6 +1,8 @@
 """Residue arithmetic: frozen examples plus exhaustive small-prime oracles."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbicert.errors import ZeroInverse
 from orbicert.fields import (
@@ -49,6 +51,19 @@ def test_inverse_needs_a_unit():
         with pytest.raises(ZeroInverse):
             fp_inv(a, n)
     assert fp_inv(2, 9) == 5
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from(SMALL_PRIMES + [65537, 2**31 - 1]), st.integers(-(10**12), 10**12))
+@example(7, 0)
+@example(7, -14)
+@example(2**31 - 1, 2**31 - 2)
+def test_inverse_matches_pow(p, a):
+    if a % p == 0:
+        with pytest.raises(ZeroInverse):
+            fp_inv(a, p)
+    else:
+        assert fp_inv(a, p) == pow(a, -1, p)
 
 
 def test_pow_frozen_values():

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbicert.errors import ZeroLambda
 from orbicert.groups import (
@@ -10,6 +12,7 @@ from orbicert.groups import (
     LinPart,
     SuborbitLabel,
     canonical_lambda,
+    classify_all,
     classify_tensor,
     connecting_element,
     d8_elements,
@@ -225,6 +228,17 @@ def test_classification_matches_orbit_closure_p3():
     for idx in range(n):
         by_label.setdefault(classify_tensor(Tensor.from_index(idx, m, p)).token, set()).add(idx)
     assert {frozenset(v) for v in by_label.values()} == set(orbits)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.sampled_from([(2, 5), (2, 7), (3, 5), (3, 7)]), st.data())
+def test_classify_all_matches_classify_tensor(mp, data):
+    # the numpy fast path against the scalar classifier
+    m, p = mp
+    codes, tokens = classify_all(m, p)
+    index = st.integers(0, num_vertices(m, p) - 1)
+    for v in data.draw(st.lists(index, min_size=1, max_size=20)):
+        assert tokens[codes[v]] == classify_tensor(Tensor.from_index(v, m, p)).token
 
 
 def test_connecting_element_exhaustive_to_representative():
