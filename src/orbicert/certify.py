@@ -1,13 +1,14 @@
 """Verification drivers: stabilizer scans, digraph-group witnesses, prime scan.
 
 The 2x2 factor lives in PGL(2,p), since (A, B) and (kA, k^-1 B) act alike:
-stabilizers and witness searches are row filters on ``pgl2_points``, and
-GL(2,p) figures in the reports are class counts times the p-1 scalars.
+stabilizers and witness searches read the normalized classes that
+``pgl2_stabilizer`` returns, and GL(2,p) figures in the reports are class
+counts times the p-1 scalars.
 
 Witness matrices are shipped as data (a manifest keyed by prime and
 suborbit union) so that a bad entry fails certification loudly instead of
 silently.  Where a manifest entry fails its own check, the driver falls
-back to an exhaustive minimal-witness search over the table and records
+back to an exhaustive minimal-witness search over PGL(2,p) and records
 the replacement next to the failed entry; certification only fails when
 no witness exists at all.  Every witness is checked once, on the vertices
 of its own union: linear ones by ``preserves_set``, Hamming-side swaps by
@@ -54,8 +55,7 @@ from .matrices import (
     Matrix,
     gl2_count,
     num_vertices,
-    pgl2_points,
-    pgl2_setwise_rows,
+    pgl2_stabilizer,
     point_code,
 )
 
@@ -117,19 +117,10 @@ class Certificate:
 # setwise stabilizers in GL(2,p), computed in PGL(2,p)
 
 
-def _gl_lift(rows, p: int) -> list[Matrix]:
-    """The p-1 scalar multiples of each table row, in lexicographic order."""
-    reps, _ = pgl2_points(p)
-    lift = (Matrix(reps[r], p).scaled(k) for r in rows for k in range(1, p))
+def _gl_lift(classes, p: int) -> list[Matrix]:
+    """The p-1 scalar multiples of each PGL(2,p) class, in lexicographic order."""
+    lift = (a.scaled(k) for a in classes for k in range(1, p))
     return sorted(lift, key=lambda m: m.entries)
-
-
-def _v4_rows(p: int) -> frozenset[int]:
-    """Table rows of the dihedral group modulo scalars."""
-    reps, _ = pgl2_points(p)
-    v4 = np.array([m.entries for m in v4_representatives(p)])
-    hit = (reps[:, None] == v4).all(axis=(2, 3)).any(axis=1)
-    return frozenset(np.nonzero(hit)[0].tolist())
 
 
 def setwise_stabilizer_gl2(ds: DirectionSet) -> list[Matrix]:
@@ -139,7 +130,7 @@ def setwise_stabilizer_gl2(ds: DirectionSet) -> list[Matrix]:
     class permutes the directions; every stabilizer therefore holds the
     p-1 scalar multiples of each of its classes.
     """
-    return _gl_lift(pgl2_setwise_rows(ds.codes, ds.p), ds.p)
+    return _gl_lift(pgl2_stabilizer(ds.codes, ds.p), ds.p)
 
 
 def stabilizer_intersection_report(sets: list[DirectionSet], p: int) -> dict:
@@ -148,11 +139,12 @@ def stabilizer_intersection_report(sets: list[DirectionSet], p: int) -> dict:
     The pinning claim that certifies 2-closure is: the intersection equals
     the scalar closure of the dihedral group exactly (so every element is
     k M and acts on the tensor space as M does).  Each class stands for
-    p-1 matrices, and for 2 of the 8 dihedral ones.
+    p-1 matrices, and for 2 of the 8 dihedral ones.  ``gl2_enumerated`` is
+    |GL(2,p)|.
     """
-    stabs = [frozenset(pgl2_setwise_rows(ds.codes, p).tolist()) for ds in sets]
+    stabs = [frozenset(pgl2_stabilizer(ds.codes, p)) for ds in sets]
     inter = frozenset.intersection(*stabs)
-    v4 = _v4_rows(p)
+    v4 = v4_representatives(p)
     return {
         "direction_sets": [ds.describe() for ds in sets],
         "stabilizer_orders": [len(s) * (p - 1) for s in stabs],
@@ -339,18 +331,16 @@ def search_linear_witness(tokens, p: int) -> Matrix | None:
 
     (A, I) fixes rank, so it preserves a union of suborbits iff A permutes
     the directions of the union's simple suborbits (all but B).  Returns
-    the first table row that does and is not a dihedral class; preserving
-    and being dihedral up to scalars are scalar-invariant, so this is the
-    first such matrix of GL(2,p).  Callers check it on the vertices.
+    the first class of its PGL(2,p) stabilizer that is not dihedral;
+    preserving and being dihedral up to scalars are scalar-invariant, so
+    this is the first such matrix of GL(2,p).  Callers check it on the
+    vertices.
     """
     codes = [
         point_code(d, p) for t in tokens if t != "B" for d in label_directions(t, p)
     ]
-    v4 = _v4_rows(p)
-    row = next((r for r in pgl2_setwise_rows(codes, p).tolist() if r not in v4), None)
-    if row is None:
-        return None
-    return Matrix(pgl2_points(p)[0][row], p)
+    v4 = v4_representatives(p)
+    return next((a for a in pgl2_stabilizer(codes, p) if a not in v4), None)
 
 
 def _certify_one_union(

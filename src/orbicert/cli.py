@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import dataclass
 
 from .certify import (
@@ -68,8 +69,9 @@ class RunConfig:
         }
 
 
-def _wrap(claim: str, parameters: dict, payload: dict) -> Certificate:
-    return Certificate(claim=claim, parameters=parameters, status="verified", evidence=payload)
+def _wrap(claim: str, parameters: dict, payload: dict, ok: bool = True) -> Certificate:
+    status = "verified" if ok else "refuted"
+    return Certificate(claim=claim, parameters=parameters, status=status, evidence=payload)
 
 
 def _lemma_registry() -> dict:
@@ -86,10 +88,20 @@ def _lemma_registry() -> dict:
 
 
 def run_lemma(name: str, cfg: RunConfig) -> Certificate:
+    """Run one named structural check; its wall time goes to the text format."""
+    start = time.perf_counter()
+    cert = _lemma(name, cfg)
+    cert.elapsed_ms = (time.perf_counter() - start) * 1000.0
+    return cert
+
+
+def _lemma(name: str, cfg: RunConfig) -> Certificate:
     p, m = cfg.p, cfg.m
+    if name not in _lemma_registry():
+        raise InvalidConfig(f"unknown lemma {name!r}; known: {sorted(_lemma_registry())}")
+    if p is None:
+        raise InvalidConfig("--p required")
     if name in ("hamming-A", "hamming-1", "hamming-i"):
-        if p is None:
-            raise InvalidConfig("--p required")
         if name == "hamming-A":
             dirs, label = (0, INFINITY), "A"
         elif name == "hamming-1":
@@ -100,36 +112,28 @@ def run_lemma(name: str, cfg: RunConfig) -> Certificate:
                 raise InvalidConfig(f"p={p} has no square root of -1")
             dirs, label = (i, p - i), f"L{min(i, p - i)}"
         s = orbital_union_set([label], m, p)
-        ok = hamming_check(s, dirs[0], dirs[1])
-        cert = _wrap(
+        return _wrap(
             f"lemma:{name}",
             {"p": p, "m": m},
             {"label": label, "directions": ["inf" if d is INFINITY else d for d in dirs]},
+            hamming_check(s, dirs[0], dirs[1]),
         )
-        cert.status = "verified" if ok else "refuted"
-        return cert
     if name == "connectivity":
-        if p is None:
-            raise InvalidConfig("--p required")
         from .digraphs import is_connected
 
         results = {}
         for token in nontrivial_labels(p):
             results[token] = bool(is_connected(orbital_union_set([token], m, p)))
-        cert = _wrap(f"lemma:{name}", {"p": p, "m": m}, {"connected": results})
-        cert.status = "verified" if all(results.values()) else "refuted"
-        return cert
+        return _wrap(
+            f"lemma:{name}", {"p": p, "m": m}, {"connected": results}, all(results.values())
+        )
     if name == "table1":
-        if p is None:
-            raise InvalidConfig("--p required")
         return _wrap(f"lemma:{name}", {"p": p}, verify_table1(p))
     if name == "table3":
-        if p is None:
-            raise InvalidConfig("--p required")
         return _wrap(f"lemma:{name}", {"p": p}, check_v4_collineations(p))
     if name == "clique-axioms":
-        if p is None or cfg.mus is None:
-            raise InvalidConfig("--p and --mu required")
+        if cfg.mus is None:
+            raise InvalidConfig("--mu required")
         try:
             mu_cfg = MuConfig(z=len(cfg.mus), mus=cfg.mus, m=m, p=p)
         except DegenerateConfig as exc:
@@ -139,19 +143,15 @@ def run_lemma(name: str, cfg: RunConfig) -> Certificate:
             {"p": p, "m": m, "mus": list(cfg.mus), "seed": cfg.seed},
             verify_clique_axioms(mu_cfg, seed=cfg.seed),
         )
-    if name == "suborbit-partition":
-        if p is None:
-            raise InvalidConfig("--p required")
-        sizes = {t: int(suborbit_indices(t, m, p).size) for t in nontrivial_labels(p)}
-        total = 1 + sum(sizes.values())
-        cert = _wrap(
-            f"lemma:{name}",
-            {"p": p, "m": m},
-            {"sizes": sizes, "total_with_zero": total, "vertices": num_vertices(m, p)},
-        )
-        cert.status = "verified" if total == num_vertices(m, p) else "refuted"
-        return cert
-    raise InvalidConfig(f"unknown lemma {name!r}; known: {sorted(_lemma_registry())}")
+    # suborbit-partition
+    sizes = {t: int(suborbit_indices(t, m, p).size) for t in nontrivial_labels(p)}
+    total = 1 + sum(sizes.values())
+    return _wrap(
+        f"lemma:{name}",
+        {"p": p, "m": m},
+        {"sizes": sizes, "total_with_zero": total, "vertices": num_vertices(m, p)},
+        total == num_vertices(m, p),
+    )
 
 
 def dispatch(cfg: RunConfig, lemma_name: str | None = None) -> list[Certificate]:

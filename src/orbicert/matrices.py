@@ -11,6 +11,7 @@ Conventions fixed once for the whole toolkit:
 
 from __future__ import annotations
 
+import itertools
 import json
 from functools import lru_cache
 
@@ -200,53 +201,61 @@ def gl2_enumerate(p: int):
                     yield Matrix(((a, b), (c, d)), p)
 
 
-# PGL(2,p) tables above this size are refused before they are allocated
-# (p <= 47 fits under 64 MiB).
-PGL2_TABLE_MAX_BYTES = 64 * 2**20
-
-
 def point_code(value, p: int) -> int:
     """Code of a point of the projective line: slope t -> t, INFINITY -> p."""
     return p if value is INFINITY else int(value) % p
 
 
-@lru_cache(maxsize=16)
-def pgl2_points(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """PGL(2,p) and its action on the p+1 points of the projective line.
+def _frame(u, v, w, p: int) -> tuple[int, int, int, int]:
+    """Entries of a matrix sending e1, e2 and e1 + e2 to the points u, v, w:
+    rows a u and b v with a u + b v = det(u, v) w (Cramer's rule)."""
+    a = (w[0] * v[1] - w[1] * v[0]) % p
+    b = (u[0] * w[1] - u[1] * w[0]) % p
+    return a * u[0], a * u[1], b * v[0], b * v[1]
 
-    Returns (reps, perms).  reps is the (N, 2, 2) array of the
-    N = p(p^2-1) normalized representatives (first nonzero entry 1), in
-    lexicographic (a, b, c, d) order; perms[r, k] is the point code of the
-    image of point k under the row action v -> v reps[r].  A class's
-    normalized representative is its lexicographically first member, so
-    the first row passing a scalar-invariant filter holds the first
-    matrix of ``gl2_enumerate`` order that passes it.
+
+def pgl2_stabilizer(codes, p: int) -> list[Matrix]:
+    """The PGL(2,p) classes mapping a set of point codes onto itself, as
+    normalized representatives (first nonzero entry 1) in lexicographic order.
+
+    A normalized representative is its class's lexicographically first
+    member, so the first class passing a scalar-invariant filter holds the
+    first matrix of ``gl2_enumerate`` order that passes it.  PGL(2,p) is
+    sharply 3-transitive on the p+1 points, and a class stabilizes a set iff
+    it stabilizes the complement.  So the frame is the first three points of
+    the smaller side, followed by the other side; each ordered triple of
+    distinct points, each on its frame point's side, is the frame's image
+    under one candidate class, kept iff it maps the smaller side into itself.
     """
-    n = p * (p * p - 1)
-    nbytes = n * (4 + p + 1) * np.dtype(np.int64).itemsize
-    if nbytes > PGL2_TABLE_MAX_BYTES:
-        raise ParameterTooLarge(f"PGL(2,{p}) table of {nbytes} bytes refused")
-    # a = 0 forces b = 1 and c != 0; a = 1 leaves every (b, c, d) with d != bc
-    a_zero = np.indices((1, 1, p - 1, p), dtype=np.int64).reshape(4, -1).T + (0, 1, 1, 0)
-    a_one = np.indices((1, p, p, p), dtype=np.int64).reshape(4, -1).T + (1, 0, 0, 0)
-    a_one = a_one[(a_one[:, 3] - a_one[:, 1] * a_one[:, 2]) % p != 0]
-    reps = np.concatenate([a_zero, a_one]).reshape(n, 2, 2)
-    line = np.array([(1, t) for t in range(p)] + [(0, 1)], dtype=np.int64)
-    img = np.einsum("ki,nij->nkj", line, reps) % p
-    inv = np.array([0] + [fp_inv(v, p) for v in range(1, p)], dtype=np.int64)
-    perms = np.where(img[..., 0] == 0, p, img[..., 1] * inv[img[..., 0]] % p)
-    reps.flags.writeable = False
-    perms.flags.writeable = False
-    return reps, perms
+    def lift(k):
+        return (0, 1) if k == p else (1, k)
 
-
-def pgl2_setwise_rows(codes, p: int) -> np.ndarray:
-    """Rows of pgl2_points(p) whose permutation maps the point codes into themselves."""
-    _, perms = pgl2_points(p)
-    codes = list(codes)
-    inside = np.zeros(p + 1, dtype=bool)
-    inside[codes] = True
-    return np.nonzero(inside[perms[:, codes]].all(axis=1))[0]
+    inside = set(codes)
+    small = sorted(inside)
+    if 2 * len(small) > p + 1:
+        small = [k for k in range(p + 1) if k not in inside]
+    members = set(small)
+    n = min(3, len(small))
+    # the larger side is listed only when the frame needs a point of it
+    large = [k for k in range(p + 1) if k not in members] if n < 3 else []
+    # the adjugate of the frame's matrix sends the frame to e1, e2, e1 + e2
+    f0, f1, f2, f3 = _frame(*map(lift, small[:n] + large[: 3 - n]), p)
+    points = [lift(k) for k in small]
+    out = []
+    for x, y, z in itertools.product(*[small] * n, *[large] * (3 - n)):
+        if x == y or x == z or y == z:
+            continue
+        g0, g1, g2, g3 = _frame(lift(x), lift(y), lift(z), p)
+        a, b = (f3 * g0 - f1 * g2) % p, (f3 * g1 - f1 * g3) % p
+        c, d = (f0 * g2 - f2 * g0) % p, (f0 * g3 - f2 * g1) % p
+        for u0, u1 in points:
+            v0, v1 = (u0 * a + u1 * c) % p, u0 * b + u1 * d
+            if (v1 * pow(v0, -1, p) % p if v0 else p) not in members:
+                break
+        else:
+            k = pow(a or b, -1, p)
+            out.append(((a * k % p, b * k % p), (c * k % p, d * k % p)))
+    return [Matrix(e, p) for e in sorted(out)]
 
 
 def scalar_normalize(a: Matrix) -> tuple[Matrix, int]:

@@ -21,7 +21,6 @@ from orbicert.matrices import (
     mat_mul,
     mat_rank,
     num_vertices,
-    pgl2_points,
     product_image,
     simple_factorize,
     tensor_apply,
@@ -110,8 +109,6 @@ def test_gl2_enumeration_counts_and_uniqueness():
     assert gl2_count(3) == 48
     assert gl2_count(5) == 480
     assert gl2_count(17) == 78336
-    reps, _ = pgl2_points(17)
-    assert reps.shape[0] * 16 == 78336  # one class per 16 scalar multiples
 
 
 def test_vertex_codec_round_trip():

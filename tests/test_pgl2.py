@@ -1,33 +1,44 @@
-"""The PGL(2,p) point table against the scalar GL(2,p) oracles.
+"""PGL(2,p) stabilizers from three-point frames against scalar oracles.
 
-Exhaustive at p in {5, 7}: the table's permutations, the stabilizers and
-the witness search built on it must agree with ``gl2_enumerate``,
-``fractional_action`` and the vertex-level ``preserves_set``.
+Exhaustive at p in {5, 7}: the stabilizers and the witness search built on
+``pgl2_stabilizer`` must agree with ``gl2_enumerate`` and the vertex-level
+``preserves_set``; at p in {5, 7, 11} with every subset size against a
+brute-force filter through ``fractional_action``; and at every prime below
+10^4 against the obstruction polynomials of the prime scan.
 """
 
 import itertools
-import subprocess
-import sys
+from collections import Counter
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbicert.certify import (
     DirectionSet,
     direction_set_of_labels,
+    obstruction_polynomials,
     search_linear_witness,
     setwise_stabilizer_gl2,
 )
-from orbicert.crossratio import fractional_action, projective_line
+from orbicert.crossratio import fractional_action, lambda_quad, projective_line
 from orbicert.digraphs import orbital_union_set, preserves_set
-from orbicert.errors import ParameterTooLarge
-from orbicert.groups import LinPart, g0_contains, label_directions, nontrivial_labels
+from orbicert.fields import is_prime
+from orbicert.groups import (
+    LinPart,
+    g0_contains,
+    label_directions,
+    nontrivial_labels,
+    v4_representatives,
+)
 from orbicert.matrices import (
     Matrix,
     gl2_enumerate,
     mat_mul,
-    pgl2_points,
-    pgl2_setwise_rows,
+    pgl2_stabilizer,
     point_code,
+    scalar_normalize,
 )
 
 PRIMES = (5, 7)
@@ -39,14 +50,22 @@ def label_codes(token, p):
     return [point_code(d, p) for d in label_directions(token, p)]
 
 
+@lru_cache(maxsize=None)
+def pgl2_classes(p):
+    """Normalized classes of GL(2,p), sorted, each with its point permutation."""
+    classes = {scalar_normalize(a)[0] for a in gl2_enumerate(p)}
+    return [
+        (a, tuple(point_code(fractional_action(a, t, p), p) for t in projective_line(p)))
+        for a in sorted(classes, key=lambda m: m.entries)
+    ]
+
+
 @pytest.mark.parametrize("p", PRIMES)
-def test_rows_act_as_fractional_maps(p):
-    reps, perms = pgl2_points(p)
-    assert reps.shape == (p * (p * p - 1), 2, 2)
-    for r in range(reps.shape[0]):
-        rep = Matrix(reps[r], p)
-        images = [fractional_action(rep, t, p) for t in projective_line(p)]
-        assert perms[r].tolist() == [point_code(t, p) for t in images]
+def test_empty_set_stabilizer_is_pgl2(p):
+    classes = [a for a, _ in pgl2_classes(p)]
+    assert len(classes) == p * (p * p - 1)
+    assert pgl2_stabilizer([], p) == classes
+    assert pgl2_stabilizer(range(p + 1), p) == classes
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -65,16 +84,29 @@ def test_setwise_stabilizers_match_gl2_enumeration(p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_table_verdict_matches_vertex_check(p):
+def test_stabilizer_verdict_matches_vertex_check(p):
     m = 2
-    reps, _ = pgl2_points(p)
     ident = Matrix.identity(m, p)
     for token in nontrivial_labels(p):
         union = orbital_union_set([token], m, p)
-        rows = set(pgl2_setwise_rows(label_codes(token, p), p).tolist())
-        for r in range(reps.shape[0]):
-            lin = LinPart(Matrix(reps[r], p), ident)
-            assert (r in rows) == preserves_set(lin, union), (token, r)
+        stab = set(pgl2_stabilizer(label_codes(token, p), p))
+        for a, _ in pgl2_classes(p):
+            assert (a in stab) == preserves_set(LinPart(a, ident), union), (token, a)
+
+
+@pytest.mark.parametrize("p", (5, 7, 11))
+def test_stabilizer_matches_a_fractional_action_filter(p):
+    # every prefix of a shuffled line: each subset size from 0 to p+1, so
+    # both the smaller side and the complement carry the frame
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(st.permutations(range(p + 1)))
+    def check(line):
+        for size in range(p + 2):
+            codes = set(line[:size])
+            brute = [a for a, img in pgl2_classes(p) if all(img[k] in codes for k in codes)]
+            assert pgl2_stabilizer(line[:size], p) == brute, (p, sorted(codes))
+
+    check()
 
 
 def first_vertex_witness(tokens, p, m=2):
@@ -101,17 +133,18 @@ def test_witness_search_matches_gl2_enumeration():
     assert search_linear_witness(["L2"], 7) == first_vertex_witness(["L2"], 7)
 
 
-def test_table_size_gate_refuses_before_building():
-    with pytest.raises(ParameterTooLarge):
-        pgl2_points(199)
-
-
-def test_table_is_not_built_at_import():
-    code = (
-        "import orbicert, orbicert.cli; from orbicert.matrices import pgl2_points; "
-        "print(pgl2_points.cache_info().currsize)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "0"
+def test_scan_obstruction_matches_the_stabilizer_below_10_4():
+    # p divides an obstruction polynomial at lam iff the direction quadruple
+    # of lam has more than the 4 dihedral classes; a clean one has exactly them
+    sizes = Counter()
+    for p in filter(is_prime, range(5, 10**4)):
+        for lam in (2, 4):
+            if pow(lam, 4, p) in (0, 1):
+                continue
+            stab = pgl2_stabilizer(lambda_quad(lam, p), p)
+            obstructed = any(v % p == 0 for v in obstruction_polynomials(lam))
+            assert obstructed == (len(stab) > 4), (p, lam)
+            if not obstructed:
+                assert stab == sorted(v4_representatives(p), key=lambda m: m.entries)
+            sizes[len(stab)] += 1
+    assert sizes == {4: 2440, 8: 7, 12: 4}
