@@ -46,7 +46,6 @@ from .digraphs import (
     is_arc,
     is_connected,
     orbital_union_set,
-    preserves_set,
 )
 from .fields import (
     INFINITY,

@@ -10,9 +10,12 @@ suborbit union) so that a bad entry fails certification loudly instead of
 silently.  Where a manifest entry fails its own check, the driver falls
 back to an exhaustive minimal-witness search over PGL(2,p) and records
 the replacement next to the failed entry; certification only fails when
-no witness exists at all.  Every witness is checked once, on the vertices
-of its own union: linear ones by ``preserves_set``, Hamming-side swaps by
-an exhaustive arc check and a non-additivity pair.
+no witness exists at all.  Every witness is checked on the vertices of its
+own union, exhaustively but only where it can act.  A linear one is read
+off the label table of its vertex map (``label_transitions``), built once
+per matrix per run, because a union is preserved iff no member label is
+sent outside it.  A Hamming-side swap gets an arc check at the vertices it
+moves and a non-additivity pair.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from .cliques import (
 from .digraphs import (
     complement_labels,
     hamming_witness,
+    label_transitions,
     orbital_union_set,
-    preserves_set,
 )
 from .errors import (
     CertificationFailed,
@@ -44,7 +47,7 @@ from .errors import (
 )
 from .fields import INFINITY, is_prime
 from .groups import (
-    LinPart,
+    classify_all,
     g0_contains,
     label_directions,
     lambda_classes,
@@ -344,7 +347,7 @@ def search_linear_witness(tokens, p: int) -> Matrix | None:
 
 
 def _certify_one_union(
-    tokens: frozenset[str], m: int, p: int, witness_cache: dict
+    tokens: frozenset[str], m: int, p: int, witness_cache: dict, label_tables: dict
 ) -> dict:
     """Build and machine-check a witness for one orbital union.
 
@@ -355,18 +358,25 @@ def _certify_one_union(
     duality for the rest.  Every witness is checked once against the actual
     union; stated matrices that fail are recorded and replaced by the
     minimal linear witness found by exhaustive search, memoised in
-    ``witness_cache`` under ``(p, tokens)``.
+    ``witness_cache`` under ``(p, tokens)``.  A linear witness is checked on
+    its ``label_transitions`` table, memoised in ``label_tables`` under the
+    matrix.
     """
     entry: dict = {
         "claim": "union-has-automorphism-outside-group",
         "connection_set_labels": sorted(tokens),
     }
-    union_set = orbital_union_set(tokens, m, p)
-    entry["connection_set_size"] = len(union_set)
+    codes, code_tokens = classify_all(m, p)
+    wanted = np.array([t in tokens for t in code_tokens])
+    sizes = np.bincount(codes, minlength=wanted.size)
+    entry["connection_set_size"] = int(sizes[wanted].sum())
     ident = Matrix.identity(m, p)
 
     def check_linear(mat: Matrix) -> bool:
-        return preserves_set(LinPart(mat, ident), union_set) and not g0_contains(mat)
+        if mat not in label_tables:
+            label_tables[mat] = label_transitions(mat, ident, m, p)
+        leaves = label_tables[mat][wanted][:, ~wanted].any()
+        return not leaves and not g0_contains(mat)
 
     def finish_linear(mat: Matrix, kind: str, note: str | None = None) -> dict:
         if not check_linear(mat):
@@ -426,6 +436,7 @@ def _certify_one_union(
                     "swapped_w_codes": [1, 2],
                     "nonadditive_pair": list(na) if na else None,
                 }
+                union_set = orbital_union_set(tokens, m, p)
                 entry["checks"] = {
                     "arc_preservation": perm.is_automorphism(union_set),
                     "non_affine": na is not None,
@@ -478,7 +489,8 @@ def certify_not_digraph_group(p: int, m: int) -> Certificate:
 
     Each union's witness is built once and checked once on that union's
     vertices; a replacement for a failed stated matrix is searched the
-    first time a union needs it and shared through a per-run cache.
+    first time a union needs it and shared through a per-run cache, and so
+    is the label table of each linear witness's vertex map.
     """
     if num_vertices(m, p) > 10**6:
         raise ParameterTooLarge("certification gated to p^(2m) <= 10^6")
@@ -491,7 +503,10 @@ def certify_not_digraph_group(p: int, m: int) -> Certificate:
     ]
 
     witness_cache: dict = {}
-    entries = [_certify_one_union(tk, m, p, witness_cache) for tk in unions]
+    label_tables: dict = {}
+    entries = [
+        _certify_one_union(tk, m, p, witness_cache, label_tables) for tk in unions
+    ]
     entries.sort(
         key=lambda e: (len(e["connection_set_labels"]), e["connection_set_labels"])
     )

@@ -28,7 +28,6 @@ from .matrices import (
     linear_vertex_map,
     mat_inv,
     num_vertices,
-    product_image,
 )
 from .groups import LinPart, classify_all, nontrivial_labels
 
@@ -198,10 +197,20 @@ def is_connected(s: ConnectionSet) -> bool:
     return True
 
 
-def preserves_set(lin, s: ConnectionSet) -> bool:
-    """True iff the linear map sends S onto S (hence is an automorphism)."""
-    a, b = (lin.a, lin.b) if isinstance(lin, LinPart) else lin
-    return bool(s.mask[product_image(s.digits(), a, b, s.p)].all())
+def label_transitions(a: Matrix, b: Matrix, m: int, p: int) -> np.ndarray:
+    """Which suborbit labels the product action of (a, b) sends to which.
+
+    A k x k bool table over the ``classify_all`` codes: entry [i, j] is True
+    iff some vertex of code i maps to a vertex of code j.  It is scattered
+    from the image of every vertex, so the linear map preserves a union U
+    of labels (every member's image is a member, hence S onto S and an
+    automorphism of Cay(T, S)) iff ``table[U][:, ~U]`` has no True entry.
+    One table answers every union for the same matrix.
+    """
+    codes, tokens = classify_all(m, p)
+    table = np.zeros((len(tokens), len(tokens)), dtype=bool)
+    table[codes, codes[linear_vertex_map(a, b, m, p)]] = True
+    return table
 
 
 class VertexPermutation:
@@ -237,26 +246,38 @@ class VertexPermutation:
         return self.mapping[0] == 0
 
     def is_automorphism(self, s: ConnectionSet) -> bool:
-        """Exhaustive arc check.
+        """Exhaustive arc check at the moved vertices.
 
-        Verifies phi(x + t) - phi(x) in S for every vertex x and every t in
-        S, i.e. that every arc (x + t, x) maps to an arc; a bijection that
-        injects the finite arc set into itself is onto it, so this settles
-        both directions.  Translation is a roll on the digit grid: the
-        digit planes of phi at x + t are phi's planes rolled by the negated,
-        reversed digits of t, so each t costs one copy of 2m planes and a
-        Horner encoding of the difference.  Only one member of each pair
-        +-t is rolled: S = -S (``ConnectionSet`` enforces it), and the arc
-        (x, x + t) of difference -t is the reverse of (x + t, x), so its
-        image difference is the negation of one already checked.
+        Verifies phi(x + t) - phi(x) in S for every x in the support
+        M = {x : phi(x) != x} and every t in S; a bijection that injects
+        the finite arc set into itself is onto it, so this settles every
+        arc (x + t, x):
+
+        * both ends outside M: the arc is fixed, its image difference is t;
+        * x in M: checked directly;
+        * x outside M, y = x + t in M: -t is in S (``ConnectionSet``
+          enforces S = -S), so the check at y with step -t gives
+          phi(x) - phi(x + t) in S, the negation of the wanted difference.
+          That is why every t is checked, not one of each pair +-t.
+
+        x + t is encoded as x - (-t) from the uint16 digit planes, so no
+        vertex is re-encoded through the codec.  The support runs in blocks
+        of floor(n / |S|) vertices, at most n (x, t) pairs at a time.
         """
         if (s.m, s.p) != (self.m, self.p):
             raise ValueError("permutation and connection set live on different spaces")
         m, p = s.m, s.p
-        planes = _digit_planes(m, p)
-        img = planes.reshape(2 * m, -1)[:, self.mapping].reshape(planes.shape)
-        for t in _one_per_pair(s):
-            diff = _encode_difference(_translated(img, t, m, p), img, p)
+        planes = _digit_planes(m, p).reshape(2 * m, -1)
+        phi = self.mapping
+        support = np.flatnonzero(phi != np.arange(phi.size))
+        minus_t = planes[:, negation_map(m, p)[s.members]][:, None, :]
+        block = phi.size // len(s)
+        for start in range(0, support.size, block):
+            x = support[start : start + block]
+            ahead = _encode_difference(planes[:, x][:, :, None], minus_t, p)
+            diff = _encode_difference(
+                planes[:, phi[ahead]], planes[:, phi[x]][:, :, None], p
+            )
             if not s.mask[diff].all():
                 return False
         return True
@@ -362,10 +383,11 @@ def hamming_witness(d1, d2, m: int, p: int) -> VertexPermutation:
     Acts in Hamming coordinates by transposing the W-codes 1 and 2 (the
     encodings of f_1 and 2 f_1) on the first coordinate only; any
     non-linear permutation of one side works, this one is the canonical
-    choice.  Only builds the permutation: the caller certifies it on its
-    own connection set with ``is_automorphism``, which checks every arc
-    (x + t, x) for one member t of each pair +-t of S by rolling the
-    witness's digit planes on the digit grid, and ``nonadditive_witness``.
+    choice.  It moves only the 2 p^m vertices whose first coordinate is 1
+    or 2.  Only builds the permutation: the caller certifies it on its own
+    connection set with ``is_automorphism``, which checks the arcs that
+    leave those moved vertices, for every t in S, and
+    ``nonadditive_witness``.
     """
     if num_vertices(m, p) > HAMMING_WITNESS_MAX_VERTICES:
         raise ParameterTooLarge("witness certification gated to p^(2m) <= 10^6")

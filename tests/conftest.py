@@ -2,7 +2,18 @@
 
 import pytest
 
-from orbicert.matrices import all_coords, encode_array, num_vertices
+from orbicert.groups import LinPart
+from orbicert.matrices import all_coords, encode_array, num_vertices, product_image
+
+
+def preserves_set(lin, s):
+    """True iff the linear map sends S onto S (hence is an automorphism).
+
+    The reference for ``orbicert.digraphs.label_transitions``: the image of
+    every member of S, one matmul per call, with no label table.
+    """
+    a, b = (lin.a, lin.b) if isinstance(lin, LinPart) else lin
+    return bool(s.mask[product_image(s.digits(), a, b, s.p)].all())
 
 
 def enumerate_size_cliques(s, target):
@@ -61,3 +72,9 @@ def enumerate_size_cliques(s, target):
 def size_cliques():
     """The all-vertex clique census, as a fixture so any import mode finds it."""
     return enumerate_size_cliques
+
+
+@pytest.fixture(name="preserves_set")
+def preserves_set_fixture():
+    """The member-image oracle, as a fixture so any import mode finds it."""
+    return preserves_set

@@ -52,7 +52,7 @@ from orbicert.crossratio import (
     lambda_quad_cross_ratio,
     verify_table1,
 )
-from orbicert.digraphs import is_connected, orbital_union_set, preserves_set
+from orbicert.digraphs import is_connected, orbital_union_set
 from orbicert.fields import INFINITY
 from orbicert.groups import (
     LinPart,
@@ -112,7 +112,7 @@ def test_criterion_03_suborbit_partition():
             assert (seen[1:] == 1).all()  # pairwise disjoint, covering
 
 
-def test_criterion_04_theorem_q5():
+def test_criterion_04_theorem_q5(preserves_set):
     with Budget("4", 10.0):
         ident = Matrix.identity(2, 5)
         stated = [
@@ -139,7 +139,7 @@ def test_criterion_04_theorem_q5():
         "14 of the 15 rows verify, see test_criterion_05_theorem_q13"
     ),
 )
-def test_criterion_05_table_rows_as_stated():
+def test_criterion_05_table_rows_as_stated(preserves_set):
     ident = Matrix.identity(2, 13)
     for (p, union), rows in STATED_WITNESSES.items():
         if p != 13:
@@ -148,7 +148,7 @@ def test_criterion_05_table_rows_as_stated():
         assert preserves_set(lin, orbital_union_set(union, 2, p)), sorted(union)
 
 
-def test_criterion_05_theorem_q13():
+def test_criterion_05_theorem_q13(preserves_set):
     with Budget("5", 120.0):
         ident = Matrix.identity(2, 13)
         rows_checked = 0

@@ -1,8 +1,12 @@
 """Stabilizer scans, theorem drivers, obstruction arithmetic."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+import orbicert.digraphs as digraphs
+import orbicert.matrices as matrices
 from orbicert.certify import (
     GLGL_WITNESS,
     STATED_WITNESSES,
@@ -17,10 +21,17 @@ from orbicert.certify import (
     setwise_stabilizer_gl2,
     stabilizer_intersection_report,
 )
-from orbicert.digraphs import VertexPermutation, orbital_union_set, preserves_set
+from orbicert.digraphs import VertexPermutation, label_transitions, orbital_union_set
 from orbicert.errors import CertificationFailed, DegenerateLambda
 from orbicert.fields import INFINITY
-from orbicert.groups import LinPart, d8_elements, g0_contains, v4_representatives
+from orbicert.groups import (
+    LinPart,
+    classify_all,
+    d8_elements,
+    g0_contains,
+    nontrivial_labels,
+    v4_representatives,
+)
 from orbicert.matrices import Matrix, mat_inv, mat_mul, num_vertices
 
 
@@ -162,7 +173,7 @@ def test_q17_certificate_and_corruption():
     assert broken["intersection_order"] != 64
 
 
-def test_stated_witnesses_q5_all_hold():
+def test_stated_witnesses_q5_all_hold(preserves_set):
     m, p = 2, 5
     ident = Matrix.identity(m, p)
     for (pp, union), rows in STATED_WITNESSES.items():
@@ -173,7 +184,7 @@ def test_stated_witnesses_q5_all_hold():
         assert not g0_contains(lin)
 
 
-def test_stated_q7_singleton_witness_fails_and_replacement_found():
+def test_stated_q7_singleton_witness_fails_and_replacement_found(preserves_set):
     m, p = 2, 7
     ident = Matrix.identity(m, p)
     union = orbital_union_set(["L2"], m, p)
@@ -185,7 +196,7 @@ def test_stated_q7_singleton_witness_fails_and_replacement_found():
     assert not g0_contains(repl)
 
 
-def test_stated_q13_triple_union_witness_fails_and_replacement_found():
+def test_stated_q13_triple_union_witness_fails_and_replacement_found(preserves_set):
     m, p = 2, 13
     ident = Matrix.identity(m, p)
     union = orbital_union_set(["L1", "L2", "L3"], m, p)
@@ -250,6 +261,62 @@ def test_a_broken_hamming_witness_is_never_verified(monkeypatch):
         certify_not_digraph_group(p, m)
 
 
+def _proper_unions(p):
+    labels = nontrivial_labels(p)
+    return [
+        frozenset(c) for r in range(1, len(labels)) for c in itertools.combinations(labels, r)
+    ]
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_label_table_matches_the_member_image_oracle(p, preserves_set):
+    # every stated, product-group and searched witness on every union
+    m = 2
+    ident = Matrix.identity(m, p)
+    unions = _proper_unions(p)
+    rows = set(STATED_WITNESSES.values()) | {GLGL_WITNESS}
+    mats = {Matrix(r, p) for r in rows}
+    mats |= {search_linear_witness(tk, p) for tk in unions} - {None}
+    _, code_tokens = classify_all(m, p)
+    verdicts = set()
+    for mat in mats:
+        table = label_transitions(mat, ident, m, p)
+        for tk in unions:
+            wanted = np.array([t in tk for t in code_tokens])
+            got = not table[wanted][:, ~wanted].any()
+            union = orbital_union_set(tk, m, p)
+            assert got == preserves_set(LinPart(mat, ident), union), (mat, sorted(tk))
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("p", (5, 7, 13))
+def test_connection_set_size_is_the_size_of_the_union(p):
+    cert = certify_not_digraph_group(p, 2)
+    for entry in cert.evidence["unions"]:
+        union = orbital_union_set(entry["connection_set_labels"], 2, p)
+        assert entry["connection_set_size"] == len(union)
+
+
+def test_one_vertex_map_per_linear_witness_matrix(monkeypatch):
+    # the 62 unions at p = 13 are checked with 9 distinct linear matrices;
+    # product_image is counted under every module name it is bound to
+    calls = []
+    real = matrices.product_image
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    for module in (matrices, digraphs):
+        if hasattr(module, "product_image"):
+            monkeypatch.setattr(module, "product_image", counting)
+    cert = certify_not_digraph_group(13, 2)
+    assert cert.status == "verified"
+    assert cert.evidence["unions_checked"] == 62
+    assert len(calls) == 9
+
+
 def test_two_closed_checks_delta_at_every_size(monkeypatch):
     # stage (a) runs at every size; no size may drop it from the evidence
     monkeypatch.setattr("orbicert.certify.num_vertices", lambda m, p: 10**6 + 1)
@@ -266,7 +333,7 @@ def test_not_digraph_group_p7_records_failure():
     assert {"union": ["L2"], "stated": [[1, 2], [2, 1]]} in failed
 
 
-def test_glgl_witness_preserves_nonsimple_everywhere():
+def test_glgl_witness_preserves_nonsimple_everywhere(preserves_set):
     for p in (5, 7, 13):
         ident = Matrix.identity(2, p)
         lin = LinPart(Matrix(GLGL_WITNESS, p), ident)

@@ -19,7 +19,6 @@ from orbicert.digraphs import (
     is_arc,
     is_connected,
     orbital_union_set,
-    preserves_set,
 )
 from orbicert.errors import BadDecomposition, EmptyUnion
 from orbicert.fields import INFINITY
@@ -166,7 +165,7 @@ def test_rank_connectivity_matches_the_bfs_on_random_sets():
     assert outcomes == {True, False}
 
 
-def test_preserves_set_stated_witnesses_p5():
+def test_preserves_set_stated_witnesses_p5(preserves_set):
     m, p = 2, 5
     ident = Matrix.identity(m, p)
     cases = [
@@ -180,7 +179,7 @@ def test_preserves_set_stated_witnesses_p5():
     assert preserves_set(LinPart(ident, ident), orbital_union_set(["B"], m, p))
 
 
-def test_stabilizer_acts_as_automorphisms():
+def test_stabilizer_acts_as_automorphisms(preserves_set):
     rng = random.Random(17)
     m, p = 2, 5
     unions = [orbital_union_set([t], m, p) for t in nontrivial_labels(p)]
@@ -244,7 +243,7 @@ def _invertible(p: int):
     ).map(lambda rows: Matrix(rows, p)).filter(lambda a: a.is_invertible())
 
 
-def test_arc_check_agrees_with_preserves_set():
+def test_arc_check_agrees_with_preserves_set(preserves_set):
     # the exhaustive arc check is the one checker of Hamming witnesses;
     # on linear maps it must agree with the set-image oracle
     m, p = 2, 5
@@ -338,6 +337,28 @@ def test_arc_check_agrees_with_the_unhalved_reference():
     assert outcomes == {True, False}
 
 
+def test_arc_check_covers_arcs_that_enter_the_support():
+    # on this 3-cycle the failing arcs are found only from the moved
+    # vertices with both t and -t: one member of each pair +-t misses them
+    m, p = 2, 3
+    s = orbital_union_set(["B", "L1"], m, p)
+    mapping = np.arange(num_vertices(m, p))
+    mapping[[26, 80, 44]] = [80, 44, 26]
+    perm = VertexPermutation(mapping, m, p)
+    assert not _reference_is_automorphism(perm, s)
+    assert not perm.is_automorphism(s)
+
+
+def test_identity_is_an_automorphism_of_every_union():
+    # the empty support leaves no arc to check
+    m, p = 2, 5
+    ident = VertexPermutation(np.arange(num_vertices(m, p)), m, p)
+    labels = nontrivial_labels(p)
+    for r in range(1, len(labels) + 1):
+        for tokens in combinations(labels, r):
+            assert ident.is_automorphism(orbital_union_set(tokens, m, p)), tokens
+
+
 @pytest.mark.parametrize("p, m", [(5, 2), (7, 2), (5, 3)])
 def test_hamming_check_on_every_capable_label(p, m):
     capable = [(t, hamming_capable(t, p)) for t in nontrivial_labels(p)]
@@ -383,7 +404,7 @@ def test_arc_checks_do_not_reencode_per_member(monkeypatch):
     assert len(calls) == 0
 
 
-def test_complement_duality():
+def test_complement_duality(preserves_set):
     # an automorphism of a union digraph is one of the complement union
     m, p = 2, 5
     w = hamming_witness(0, INFINITY, m, p)

@@ -23,7 +23,7 @@ from orbicert.certify import (
     setwise_stabilizer_gl2,
 )
 from orbicert.crossratio import fractional_action, lambda_quad, projective_line
-from orbicert.digraphs import orbital_union_set, preserves_set
+from orbicert.digraphs import orbital_union_set
 from orbicert.fields import is_prime
 from orbicert.groups import (
     LinPart,
@@ -84,7 +84,7 @@ def test_setwise_stabilizers_match_gl2_enumeration(p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_stabilizer_verdict_matches_vertex_check(p):
+def test_stabilizer_verdict_matches_vertex_check(p, preserves_set):
     m = 2
     ident = Matrix.identity(m, p)
     for token in nontrivial_labels(p):
@@ -109,7 +109,7 @@ def test_stabilizer_matches_a_fractional_action_filter(p):
     check()
 
 
-def first_vertex_witness(tokens, p, m=2):
+def first_vertex_witness(preserves_set, tokens, p, m=2):
     union = orbital_union_set(tokens, m, p)
     ident = Matrix.identity(m, p)
     return next(
@@ -122,15 +122,17 @@ def first_vertex_witness(tokens, p, m=2):
     )
 
 
-def test_witness_search_matches_gl2_enumeration():
+def test_witness_search_matches_gl2_enumeration(preserves_set):
     labels = nontrivial_labels(5)
     unions = [
         c for r in range(1, len(labels)) for c in itertools.combinations(labels, r)
     ]
     assert len(unions) == 14
     for tokens in unions:
-        assert search_linear_witness(tokens, 5) == first_vertex_witness(tokens, 5), tokens
-    assert search_linear_witness(["L2"], 7) == first_vertex_witness(["L2"], 7)
+        first = first_vertex_witness(preserves_set, tokens, 5)
+        assert search_linear_witness(tokens, 5) == first, tokens
+    first = first_vertex_witness(preserves_set, ["L2"], 7)
+    assert search_linear_witness(["L2"], 7) == first
 
 
 def test_scan_obstruction_matches_the_stabilizer_below_10_4():

@@ -66,11 +66,10 @@ def test_guard_rails():
         is_connected(orbital_union_set(["A"], 3, 37))  # 37^6 vertices
 
 
-def test_parallel_class_action_consequence():
+def test_parallel_class_action_consequence(preserves_set):
     # dual route, exhaustive over GL(2,5): a linear map preserves the union
     # of the four direction blocks iff its slope action permutes the slopes
     from orbicert.crossratio import fractional_action
-    from orbicert.digraphs import preserves_set
     from orbicert.groups import LinPart
     from orbicert.matrices import Matrix
 
