@@ -7,10 +7,13 @@ blocks, and every vertex x has unique W-parts pi_i(x) with
     x = (e1 + mu_i e2) (x) pi_i(x) + (e1 + mu_{i+1} e2) (x) pi_{i+1}(x).
 
 The level sets ell_i(x) = {y : pi_i(y) = pi_i(x)} are the maximum cliques
-of the Cayley graph on the union S of the z direction blocks.
+of the Cayley graph on the union S of the z direction blocks.  On
+row-major digit rows pi_i is the 2m x m matrix Pi_i over F_p, and the
+block of mu_i is the row space of E_i = [I | mu_i I].
 ``verify_clique_axioms`` checks that geometry exactly at every prime, by
-linearity and translation, with no sampling.  Each check's
-``instances_checked`` counts what it certifies, n = p^(2m) vertices:
+matrix identities and symmetry, with no sampling and no table of the
+vertices.  Each check's ``instances_checked`` counts what it certifies,
+n = p^(2m) vertices:
 
     reconstruction                    n z/2        vertex, pair (i, i+1)
     projection_relations              n z(z-1) z   vertex, triple (i, j, k)
@@ -21,23 +24,23 @@ linearity and translation, with no sampling.  Each check's
     adjacency_iff_shared_projection   n^2          vertex pair (x, y)
     cliques_are_cliques, clique_census  z n / p^m  ell-clique
 
-The first three follow from additivity on generators plus the basis, the
-next three from one bincount per pair, and the last three from the checks
-at 0 by translation (see ``verify_clique_axioms``).
+The first three are matrix identities (a matrix map is linear), the next
+three follow from them by a right inverse of [Pi_i | Pi_j], and the last
+three from checks at 0 and at one edge per block, by translation and by
+I (x) GL(m, p) (see ``verify_clique_axioms``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
-from .digraphs import ConnectionSet, _translated
+from .digraphs import ConnectionSet
 from .errors import DegenerateConfig, IndexOutOfRange, LemmaViolation
 from .fields import fp_inv
-from .matrices import Tensor, all_coords, encode_array, num_vertices
+from .matrices import Tensor, decode_array, encode_array, num_vertices
 
 DEFAULT_SEED = 1729
 
@@ -151,35 +154,35 @@ def tensor_from_projections(
     return Tensor.from_rows(r1, r2, p)
 
 
-@lru_cache(maxsize=16)
-def _pi_tables(cfg: MuConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(vectors, codes): pi values of every vertex for every index.
+def pi_matrix(cfg: MuConfig, i: int) -> np.ndarray:
+    """Pi_i = (alpha, beta)^T (x) I_m for the ``pi_functional`` (alpha, beta):
+    the 2m x m matrix with pi_i(x) = x Pi_i on row-major digit rows."""
+    alpha, beta = pi_functional(cfg, i)
+    return np.kron([[alpha], [beta]], np.eye(cfg.m, dtype=np.int64))
 
-    vectors has shape (n, z, m); codes has shape (n, z) with the W-part
-    encoded in radix p.
-    """
-    coords = all_coords(cfg.m, cfg.p)
-    r1, r2 = coords[:, 0, :], coords[:, 1, :]
-    radix = cfg.p ** np.arange(cfg.m, dtype=np.int64)
-    vecs = np.empty((coords.shape[0], cfg.z, cfg.m), dtype=np.int64)
-    for i in cfg.index_set:
-        alpha, beta = pi_functional(cfg, i)
-        vecs[:, i - 1, :] = (alpha * r1 + beta * r2) % cfg.p
-    codes = vecs @ radix
-    vecs.flags.writeable = False
-    codes.flags.writeable = False
-    return vecs, codes
+
+def _slope_matrix(cfg: MuConfig, i: int) -> np.ndarray:
+    """E_i = (1, mu_i) (x) I_m = [I | mu_i I]: row w is the digit row of
+    (e1 + mu_i e2) (x) w."""
+    return np.kron([[1, cfg.mu(i)]], np.eye(cfg.m, dtype=np.int64))
+
+
+def _block(cfg: MuConfig, i: int) -> np.ndarray:
+    """The direction block (e1 + mu_i e2) (x) W: the rows w E_i as (p^m, 2, m)
+    coordinates, unreduced, for w in W in index order (0 first, then e_1)."""
+    p, m = cfg.p, cfg.m
+    w = np.arange(p**m)[:, None] // p ** np.arange(m) % p
+    return (w @ _slope_matrix(cfg, i)).reshape(-1, 2, m)
 
 
 def delta_indices(cfg: MuConfig) -> np.ndarray:
-    """Vertices of the union of the z direction blocks, minus 0.
+    """The union of the z direction blocks minus 0, sorted.
 
-    These are exactly the nonzero vertices with some vanishing projection:
-    x = (e1 + mu_i e2) (x) w iff the partner projection is 0.
+    These are the z(p^m - 1) rows w E_i with w != 0; blocks of distinct
+    slopes meet only in 0.
     """
-    _, codes = _pi_tables(cfg)
-    members = np.nonzero((codes == 0).any(axis=1))[0]
-    return members[members != 0]
+    blocks = [encode_array(_block(cfg, i)[1:], cfg.p) for i in cfg.index_set]
+    return np.sort(np.concatenate(blocks))
 
 
 def delta_connection_set(cfg: MuConfig) -> ConnectionSet:
@@ -189,39 +192,49 @@ def delta_connection_set(cfg: MuConfig) -> ConnectionSet:
 def ell_clique(clique: CliqueId, cfg: MuConfig) -> frozenset[int]:
     """All vertices sharing the i-th projection with the representative.
 
-    That is the coset rep + <e1 + mu_i' e2> (x) W, with i' the partner of i.
+    That is the coset rep + ker pi_i = rep + W E_i', with i' the partner of i
+    (see ``verify_clique_axioms``).
     """
-    p, m = cfg.p, cfg.m
-    w = all_coords(m, p)[: p**m, 0]  # the vertices below p^m are W x 0
-    rep = all_coords(m, p)[int(clique.rep)]
-    rows = [(rep[0] + w) % p, (rep[1] + cfg.mu(cfg.partner(clique.i)) * w) % p]
-    return frozenset(encode_array(np.stack(rows, axis=1), p).tolist())
+    n = num_vertices(cfg.m, cfg.p)
+    if not 0 <= clique.rep < n:
+        raise IndexOutOfRange(f"representative {clique.rep} outside 0..{n - 1}")
+    rep = decode_array(clique.rep, cfg.m, cfg.p).reshape(2, cfg.m)
+    coset = rep + _block(cfg, cfg.partner(clique.i))
+    return frozenset(encode_array(coset, cfg.p).tolist())
 
 
-def cliques_through_zero(s: ConnectionSet, target: int) -> list[frozenset[int]]:
-    """Every maximal clique of Cay(T, S) through 0 with >= target vertices.
+def cliques_through_zero(s: ConnectionSet, target: int, base=()) -> list[frozenset[int]]:
+    """Every maximal clique of Cay(T, S) with >= target vertices through 0
+    and every vertex of ``base``; none unless 0 and the base form a clique.
 
-    Such a clique is 0 plus a maximal clique of the graph induced on S, the
-    neighbourhood of 0, so the pivoting branch-and-bound of Tomita, Tanaka
-    and Takahashi (TCS 363, 2006) runs over |S|-bit adjacency bitsets and
+    Such a clique is 0 plus the base plus a maximal clique of the graph
+    induced on their common neighbours, the v in S with v - b in S for each
+    b in the base.  The pivoting branch-and-bound of Tomita, Tanaka and
+    Takahashi (TCS 363, 2006) runs over bitsets of those vertices and
     abandons a branch once |R| + |P| drops below the target.
     """
-    members = s.members
-    coords = all_coords(s.m, s.p)[members]
+    p, radix = s.p, s.p ** np.arange(2 * s.m, dtype=np.int64)
+    base = np.asarray(base, dtype=np.int64)
+    rows, fixed = s.digits(), decode_array(base, s.m, p)
+    inner = s.mask[((fixed[:, None] - fixed) % p) @ radix] | np.eye(base.size, dtype=bool)
+    if not (s.mask[base].all() and inner.all()):
+        return []
+    near = s.mask[((rows[:, None] - fixed) % p) @ radix].all(axis=1)
+    members, rows = s.members[near], rows[near]
     adj: list[int] = []
     for lo in range(0, members.size, 128):
-        diffs = encode_array((coords[None, :] - coords[lo : lo + 128, None]) % s.p, s.p)
-        rows = np.packbits(s.mask[diffs], axis=1, bitorder="little")
-        adj.extend(int.from_bytes(row.tobytes(), "little") for row in rows)
+        diffs = ((rows[None, :] - rows[lo : lo + 128, None]) % p) @ radix
+        packed = np.packbits(s.mask[diffs], axis=1, bitorder="little")
+        adj.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
 
     found: list[frozenset[int]] = []
-    need = target - 1  # vertices of S besides 0
+    need = target - 1 - base.size  # vertices besides 0 and the base
 
     def expand(r: tuple[int, ...], p_bits: int, x_bits: int):
         if len(r) + p_bits.bit_count() < need:
             return
         if p_bits == 0 and x_bits == 0:
-            found.append(frozenset([0, *(int(members[v]) for v in r)]))
+            found.append(frozenset([0, *base.tolist(), *(int(members[v]) for v in r)]))
             return
         # pivot on the candidate covering most of P
         best, best_cover = -1, -1
@@ -257,33 +270,41 @@ def cliques_through_zero(s: ConnectionSet, target: int) -> list[frozenset[int]]:
 def verify_clique_axioms(cfg: MuConfig, seed: int = DEFAULT_SEED) -> dict:
     """Check the projection/clique geometry exactly; ``seed`` is only echoed.
 
-    Additivity is checked on generators: pi(x + e_k) = pi(x) + pi(e_k) for
-    every x and each of the 2m basis vectors e_k.  By induction on
-    y = sum c_k e_k that gives pi(x + y) = pi(x) + pi(y) for all n^2 pairs,
-    and over F_p it gives pi(kx) = k pi(x) too.  A linear identity that
-    holds on the basis holds everywhere, so reconstruction and the
-    projection relations are then checked on the basis only.
+    pi_i is the matrix Pi_i (``pi_matrix``), so it is linear, and a matrix
+    identity holds at every vertex; its first bad row k names the basis
+    vertex p^k.  Checked: reconstruction Pi_i E_i + Pi_j E_j = I for each
+    odd pair (i, j), and the relations Pi_k = k1 Pi_i + k2 Pi_j of
+    ``projection_coeffs``.  The pair (1, 2), which the argument below
+    starts from, is checked first, and the other pairs after the relations.
 
-    Translation by -x is an automorphism of Cay(T, S) that maps
-    ell-cliques to ell-cliques, so the remaining claims are checked at 0:
-    adjacency iff a shared projection is the difference set S + 0 against
-    the vertices with a vanishing projection; the ell-cliques through 0 are
-    the kernels of the pi_i; and the census of maximal cliques of size
-    >= p^m is the census through 0, which must find exactly those z
-    kernels.  The module docstring lists what each ``instances_checked``
-    counts.
+    Right inverse: with Pi_1 = a Pi_i + b Pi_j and Pi_2 = c Pi_i + d Pi_j,
+    reconstruction of (1, 2) reads [Pi_i | Pi_j] R = I, R the stack of
+    a E_1 + c E_2 over b E_1 + d E_2.  So [Pi_i | Pi_j] is invertible for
+    all i != j: two projections determine a vertex, an ell_i- and an
+    ell_j-clique meet in one vertex, and the p^m fibres of pi_i partition
+    T.  For an odd pair (i, i'), the stack of E_i over E_i' is then the
+    two-sided inverse of [Pi_i | Pi_i'], so E_i' Pi_i = 0: ker pi_i is the
+    p^m rows w E_i'.
 
-    Returns a certificate payload; raises LemmaViolation, naming the stage
-    and a vertex, pair or clique, on any failure.
+    Translation by -x is an automorphism of Cay(T, S) that maps ell-cliques
+    to ell-cliques, so the rest is checked at 0.  S is built from the rows
+    w E_i, w != 0 (``delta_indices``), and adjacency iff a shared projection
+    is S = the union of the kernels minus 0; a kernel, a subgroup inside
+    S + 0, is a clique.  Census of the maximal cliques of size >= p^m:
+    I (x) GL(m, p) fixes 0 and each block, hence each kernel, and is
+    transitive on each block minus 0, so each such clique through 0 maps to
+    one through 0 and some s_k = e_1 E_k.  The search through that edge
+    must return exactly the kernel that holds s_k.
+
+    Returns a certificate payload whose ``instances_checked`` the module
+    docstring lists; raises LemmaViolation, naming the stage and a vertex,
+    pair or clique, on any failure.
     """
     p, m, z = cfg.p, cfg.m, cfg.z
     if p <= z:
         raise DegenerateConfig(f"rigidity geometry needs p > z, got p={p}, z={z}")
-    n = num_vertices(m, p)
-    qm = p**m
-    vecs, codes = _pi_tables(cfg)
-    s = delta_connection_set(cfg)
-    basis = p ** np.arange(2 * m, dtype=np.int64)  # vertex index of e_k
+    n, qm = num_vertices(m, p), p**m
+    pis = {i: pi_matrix(cfg, i) for i in cfg.index_set}
     checks: dict[str, dict] = {}
 
     def record(name: str, instances: int, **extra):
@@ -294,30 +315,17 @@ def verify_clique_axioms(cfg: MuConfig, seed: int = DEFAULT_SEED) -> dict:
             **extra,
         }
 
-    # --- additivity on generators, as one roll of the digit grid per e_k
-    planes = vecs.reshape(n, z * m).T.reshape((z * m,) + (p,) * (2 * m))
-    for t in basis:
-        step = vecs[t].reshape((z * m,) + (1,) * (2 * m))
-        bad = _translated(planes, t, m, p) != (planes + step) % p
-        bad = bad.reshape(z * m, n).any(axis=0)
+    def require_zero(stage: str, diff: np.ndarray, **where):
+        bad = (diff % p != 0).any(axis=1)
         if bad.any():
-            raise LemmaViolation("projection-additive", {"x": int(bad.argmax()), "y": int(t)})
-    # by induction: additive on all n^2 pairs, so pi(kx) = k pi(x) for all p n
+            raise LemmaViolation(stage, {**where, "vertex": int(p ** bad.argmax())})
+
+    def reconstruct(i: int):
+        rebuilt = pis[i] @ _slope_matrix(cfg, i) + pis[i + 1] @ _slope_matrix(cfg, i + 1)
+        require_zero("reconstruction", rebuilt - np.eye(2 * m, dtype=np.int64), pair=(i, i + 1))
+
     record("projection_linearity", n * n + p * n)
-
-    # --- linear identities on the basis
-    on_basis, basis_coords = vecs[basis], all_coords(m, p)[basis]
-    for i in range(1, z + 1, 2):
-        j = i + 1
-        a, b = on_basis[:, i - 1], on_basis[:, j - 1]
-        rebuilt = np.stack([(a + b) % p, (cfg.mu(i) * a + cfg.mu(j) * b) % p], axis=1)
-        bad = (rebuilt != basis_coords).any(axis=(1, 2))
-        if bad.any():
-            raise LemmaViolation(
-                "reconstruction", {"pair": (i, j), "vertex": int(basis[bad.argmax()])}
-            )
-    record("reconstruction", n * (z // 2))
-
+    reconstruct(1)
     for i, j in permutations(cfg.index_set, 2):
         for k in cfg.index_set:
             k1, k2 = projection_coeffs(i, j, k, cfg)
@@ -325,50 +333,40 @@ def verify_clique_axioms(cfg: MuConfig, seed: int = DEFAULT_SEED) -> dict:
                 raise LemmaViolation(
                     "projection-relations-nonzero", {"triple": (i, j, k), "coeffs": (k1, k2)}
                 )
-            rhs = (k1 * on_basis[:, i - 1] + k2 * on_basis[:, j - 1]) % p
-            bad = (on_basis[:, k - 1] != rhs).any(axis=1)
-            if bad.any():
-                raise LemmaViolation(
-                    "projection-relations",
-                    {"triple": (i, j, k), "vertex": int(basis[bad.argmax()])},
-                )
+            rhs = k1 * pis[i] + k2 * pis[j]
+            require_zero("projection-relations", pis[k] - rhs, triple=(i, j, k))
+    for i in range(3, z + 1, 2):
+        reconstruct(i)
+    record("reconstruction", n * (z // 2))
     record("projection_relations", n * z * (z - 1) * z)
-
-    # --- (pi_i, pi_j) is a bijection onto W x W: one bincount per pair.
-    # Its fibres are the intersections of the ell_i- and ell_j-cliques, and
-    # the fibres of pi_i alone then have p^m vertices each.
-    for i, j in combinations(cfg.index_set, 2):
-        pair_code = codes[:, i - 1] * qm + codes[:, j - 1]
-        counts = np.bincount(pair_code, minlength=qm * qm)
-        if (counts != 1).any():  # n = qm^2 codes, so one is shared
-            x, y = np.flatnonzero(pair_code == counts.argmax())[:2]
-            raise LemmaViolation(
-                "two-projections-determine", {"pair": (i, j), "x": int(x), "y": int(y)}
-            )
+    # from the right inverse of [Pi_i | Pi_j]
     record("two_projections_determine", n * z * (z - 1) // 2)
     record("clique_intersection", qm * qm * z * (z - 1) // 2)
     record("parallel_partition", z * n)
 
-    # --- at 0: x - y is in S iff some pi_i(x - y) = pi_i(x) - pi_i(y) is 0
-    joined = s.mask.copy()
-    joined[0] = True
-    bad = joined != (codes == 0).any(axis=1)
-    if bad.any():
-        raise LemmaViolation("adjacency-shared-projection", {"x": int(bad.argmax()), "y": 0})
+    # --- at 0: x - y is in S iff some pi_i(x - y) = pi_i(x) - pi_i(y) is 0.
+    # ker pi_i = W E_i' holds 0 in row 0 of its block and s_i' in row 1.
+    s = delta_connection_set(cfg)
+    kernels = [encode_array(_block(cfg, cfg.partner(i)), p) for i in cfg.index_set]
+    union = np.concatenate([kernel[1:] for kernel in kernels])
+    vanish = np.any([((s.digits() @ pi) % p == 0).all(axis=1) for pi in pis.values()], axis=0)
+    bad = np.concatenate([union[~s.mask[union]], s.members[~vanish]])
+    if bad.size:
+        raise LemmaViolation("adjacency-shared-projection", {"x": int(bad.min()), "y": 0})
     record("adjacency_iff_shared_projection", n * n)
-
-    # the ell-cliques through 0 are the kernels of the pi_i: p^m vertices
-    # each by the bijection, and inside S + 0 by the adjacency check
-    kernels = [frozenset(np.flatnonzero(codes[:, i - 1] == 0).tolist()) for i in cfg.index_set]
     record("cliques_are_cliques", z * qm)
 
-    found = cliques_through_zero(s, qm)
-    not_ell = [sorted(c) for c in found if c not in kernels]
-    missing = [CliqueId(i, 0) for i, k in zip(cfg.index_set, kernels) if k not in found]
+    found, not_ell, missing = 0, [], []
+    for i, kernel in zip(cfg.index_set, kernels):
+        through = cliques_through_zero(s, qm, base=(int(kernel[1]),))
+        clique = frozenset(kernel.tolist())
+        found += len(through)
+        not_ell += [sorted(c) for c in through if c != clique]
+        if clique not in through:
+            missing.append(CliqueId(i, 0))
     if not_ell or missing:
         raise LemmaViolation(
-            "clique-census",
-            {"found": len(found), "not_ell": not_ell[:1], "missing": missing[:1]},
+            "clique-census", {"found": found, "not_ell": not_ell[:1], "missing": missing[:1]}
         )
     record("clique_census", z * qm, maximum_cliques=z * qm, clique_size=qm)
 

@@ -24,10 +24,12 @@ from .fields import INFINITY, fp_inv
 from .matrices import (
     Matrix,
     all_coords,
+    decode_array,
     encode_array,
     linear_vertex_map,
     mat_inv,
     num_vertices,
+    vertex_table_size,
 )
 from .groups import LinPart, classify_all, nontrivial_labels
 
@@ -40,7 +42,7 @@ class ConnectionSet:
     __slots__ = ("m", "p", "members", "mask", "labels")
 
     def __init__(self, indices, m: int, p: int, labels=None):
-        n = num_vertices(m, p)
+        n = vertex_table_size(m, p)  # refused before the n-byte mask
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:
             raise EmptyUnion("connection set is empty")
@@ -52,8 +54,7 @@ class ConnectionSet:
         members = np.flatnonzero(mask)
         if mask[0]:
             raise ValueError("connection set must not contain 0")
-        neg = negation_map(m, p)
-        if not mask[neg[members]].all():
+        if not mask[_negated(decode_array(members, m, p), p)].all():
             raise ValueError("connection set must be negation-closed")
         mask.flags.writeable = False
         members.flags.writeable = False
@@ -74,20 +75,16 @@ class ConnectionSet:
 
     def digits(self) -> np.ndarray:
         """The (|S|, 2m) row-major digit rows of the members, a fresh array."""
-        flat = all_coords(self.m, self.p).reshape(-1, 2 * self.m)
-        return flat.take(self.members, axis=0)
+        return decode_array(self.members, self.m, self.p)
 
     def __repr__(self):
         lab = sorted(self.labels) if self.labels else "custom"
         return f"ConnectionSet(m={self.m}, p={self.p}, |S|={len(self)}, labels={lab})"
 
 
-@lru_cache(maxsize=32)
-def negation_map(m: int, p: int) -> np.ndarray:
-    """Vertex permutation x |-> -x (cached, read-only)."""
-    out = encode_array((-all_coords(m, p)) % p, p)
-    out.flags.writeable = False
-    return out
+def _negated(rows: np.ndarray, p: int) -> np.ndarray:
+    """Vertex indices of -x for (k, 2m) row-major digit rows x."""
+    return ((p - rows) % p) @ p ** np.arange(rows.shape[1], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +114,6 @@ def _translated(grid: np.ndarray, t: int, m: int, p: int) -> np.ndarray:
     """Values at x + t, for a grid whose trailing 2m axes are the vertex grid."""
     shift = tuple(-all_coords(m, p)[int(t)].ravel()[::-1])
     return np.roll(grid, shift, axis=tuple(range(grid.ndim - 2 * m, grid.ndim)))
-
-
-def _one_per_pair(s: ConnectionSet) -> np.ndarray:
-    """One member t of each pair +-t of S (S = -S, and 0 is not in S)."""
-    neg = negation_map(s.m, s.p)
-    return s.members[s.members <= neg[s.members]]
 
 
 def _encode_difference(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
@@ -270,7 +261,7 @@ class VertexPermutation:
         planes = _digit_planes(m, p).reshape(2 * m, -1)
         phi = self.mapping
         support = np.flatnonzero(phi != np.arange(phi.size))
-        minus_t = planes[:, negation_map(m, p)[s.members]][:, None, :]
+        minus_t = ((p - planes[:, s.members]) % p)[:, None, :]
         block = phi.size // len(s)
         for start in range(0, support.size, block):
             x = support[start : start + block]
@@ -355,7 +346,7 @@ def hamming_check(s: ConnectionSet, d1, d2) -> bool:
     # "differs in exactly one coordinate" is symmetric)
     grid = (p,) * (2 * m)
     agrid, bgrid = acode.reshape(grid), bcode.reshape(grid)
-    for t in _one_per_pair(s):
+    for t in s.members[s.members <= _negated(s.digits(), p)]:
         da = _translated(agrid, t, m, p) != agrid
         db = _translated(bgrid, t, m, p) != bgrid
         if not np.logical_xor(da, db).all():

@@ -26,6 +26,7 @@ from .errors import (
 from .fields import INFINITY, fp_inv
 
 GL2_ENUM_MAX_P = 200
+MAX_VERTICES = 10**7
 
 
 class Matrix:
@@ -289,18 +290,27 @@ def decode_index(idx: int, m: int, p: int) -> tuple[tuple[int, ...], tuple[int, 
     return tuple(digits[:m]), tuple(digits[m:])
 
 
+def vertex_table_size(m: int, p: int) -> int:
+    """p^(2m), refused above MAX_VERTICES before a table that long is made."""
+    n = num_vertices(m, p)
+    if n > MAX_VERTICES:
+        raise ParameterTooLarge(f"vertex table for p^(2m) = {n} refused")
+    return n
+
+
+def decode_array(idx, m: int, p: int) -> np.ndarray:
+    """Row-major digit rows, shape (..., 2m), of an array of vertex indices."""
+    rest = np.array(idx, dtype=np.int64)
+    digits = np.empty(rest.shape + (2 * m,), dtype=np.int64)
+    for k in range(2 * m):
+        np.divmod(rest, p, out=(rest, digits[..., k]))
+    return digits
+
+
 @lru_cache(maxsize=32)
 def all_coords(m: int, p: int) -> np.ndarray:
     """Coordinates of every vertex as an (n, 2, m) array, index order."""
-    n = num_vertices(m, p)
-    if n > 10**7:
-        raise ParameterTooLarge(f"vertex table for p^(2m) = {n} refused")
-    idx = np.arange(n, dtype=np.int64)
-    digits = np.empty((n, 2 * m), dtype=np.int64)
-    for k in range(2 * m):
-        digits[:, k] = idx % p
-        idx //= p
-    out = digits.reshape(n, 2, m)
+    out = decode_array(np.arange(vertex_table_size(m, p)), m, p).reshape(-1, 2, m)
     out.flags.writeable = False
     return out
 

@@ -127,9 +127,8 @@ def test_certification_error_exit_1(capsys, monkeypatch):
 
 def test_a_lemma_violation_exits_1_naming_its_counterexample(capsys, monkeypatch):
     # pi_1 and pi_2 swapped: the first rows still add up, the second do not
-    vecs, codes = cliques._pi_tables(cliques.MuConfig(z=4, mus=(1, 2, 3, 4), m=2, p=5))
-    swapped = (vecs[:, [1, 0, 2, 3]], codes[:, [1, 0, 2, 3]])
-    monkeypatch.setattr(cliques, "_pi_tables", lambda cfg: swapped)
+    real = cliques.pi_matrix
+    monkeypatch.setattr(cliques, "pi_matrix", lambda cfg, i: real(cfg, {1: 2, 2: 1}.get(i, i)))
     code, out, err = run_cli(capsys, "verify", "cliques", "--p", "5", "--mu", "1,2,3,4")
     assert code == 1
     assert out == ""
@@ -207,6 +206,12 @@ PINNED = {
     ),
     "verify cliques --p 5 --mu 1,2,3,4": (
         "c1d588214995c71be96ae9b334d834215065cf13a5039a7f1e229ff14faeb743"
+    ),
+    "verify cliques --p 13 --mu 2,6,7,11": (
+        "f8ef69e17a817f88d5116162fe4a795517f40e2346829d30b37e0f6a2db938dc"
+    ),
+    "verify two-closed --p 5 --m 3": (
+        "a471c24e2967145edb1ed29e910774da5212c91734a6522acabd7f254d0497b6"
     ),
 }
 

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import orbicert.cliques as cliques
+import orbicert.digraphs as digraphs
+import orbicert.matrices as matrices
 from orbicert.cliques import (
     CliqueId,
     MuConfig,
@@ -225,53 +227,92 @@ def test_census_through_zero_p13():
     assert set(found) == {ell_clique(CliqueId(i, 0), CFG13) for i in CFG13.index_set}
 
 
+def edge_of_block(cfg, k):
+    """s_k = (e1 + mu_k e2) (x) e_1, vertex 1 + mu_k p^m."""
+    return 1 + cfg.mu(k) * cfg.p**cfg.m
+
+
+@pytest.mark.parametrize("cfg", [CFG5, CFG7, CFG13], ids=["p5", "p7", "p13"])
+def test_the_census_through_one_edge_is_the_oracle_census_through_it(cfg):
+    s = delta_connection_set(cfg)
+    qm = cfg.p**cfg.m
+    oracle = cliques_through_zero(s, qm)
+    for k in cfg.index_set:
+        edge = edge_of_block(cfg, k)
+        through = cliques_through_zero(s, qm, base=(edge,))
+        assert set(through) == {c for c in oracle if edge in c}
+        assert through == [ell_clique(CliqueId(cfg.partner(k), 0), cfg)]
+
+
+def test_a_base_that_is_not_a_clique_with_zero_has_no_cliques():
+    s = delta_connection_set(CFG5)
+    assert cliques_through_zero(s, 2, base=(0,)) == []  # 0 is not in S
+    apart = [edge_of_block(CFG5, 1), edge_of_block(CFG5, 2)]  # different blocks
+    assert apart[0] in s and apart[1] in s
+    assert cliques_through_zero(s, 2, base=apart) == []
+
+
+@pytest.mark.parametrize(
+    "cfg", [CFG13, CFG17, MuConfig(z=4, mus=(1, 2, 3, 4), m=3, p=5)], ids=["p13", "p17", "p5m3"]
+)
+def test_the_verifier_builds_no_vertex_table(monkeypatch, cfg):
+    def refuse(m, p):
+        raise AssertionError("vertex table built")
+
+    monkeypatch.setattr(matrices, "all_coords", refuse)
+    monkeypatch.setattr(digraphs, "all_coords", refuse)
+    out = verify_clique_axioms(cfg)
+    assert all(c["status"] == "pass" for c in out["checks"].values())
+
+
+def test_ell_clique_refuses_a_representative_outside_the_vertices():
+    for rep in (-1, 625):
+        with pytest.raises(IndexOutOfRange):
+            ell_clique(CliqueId(1, rep), CFG5)
+    assert 624 in ell_clique(CliqueId(1, 624), CFG5)
+
+
 # --- failures name their stage and a concrete counterexample
 
 
-def use_table(monkeypatch, cfg, edit):
-    """Make the verifier read a copy of the pi table changed by ``edit``."""
-    vecs = cliques._pi_tables(cfg)[0].copy()
-    edit(vecs)
-    codes = vecs @ cfg.p ** np.arange(cfg.m)
-    monkeypatch.setattr(cliques, "_pi_tables", lambda c: (vecs, codes))
-
-
-def vertex_sum(x, y, cfg):
-    coords = all_coords(cfg.m, cfg.p)
-    return int(encode_array((coords[x] + coords[y]) % cfg.p, cfg.p))
+def use_matrices(monkeypatch, edit):
+    """Make the verifier read the pi matrices changed by ``edit(i, matrix)``."""
+    real = cliques.pi_matrix
+    monkeypatch.setattr(cliques, "pi_matrix", lambda cfg, i: edit(i, real(cfg, i)))
 
 
 @pytest.mark.parametrize("cfg", [CFG5, CFG13], ids=["p5", "p13"])
-def test_one_wrong_projection_entry_fails_additivity(monkeypatch, cfg):
-    def edit(vecs):
-        vecs[123, 2, 1] = (vecs[123, 2, 1] + 1) % cfg.p
+def test_one_wrong_entry_of_pi_3_fails_the_relations(monkeypatch, cfg):
+    row = 2 * cfg.m - 1  # the last basis vector e_(2m-1), vertex p^(2m-1)
 
-    use_table(monkeypatch, cfg, edit)
-    vecs = cliques._pi_tables(cfg)[0]
+    def edit(i, pi):
+        if i == 3:
+            pi[row, 1] = (pi[row, 1] + 1) % cfg.p
+        return pi
+
+    use_matrices(monkeypatch, edit)
     with pytest.raises(LemmaViolation) as err:
         verify_clique_axioms(cfg)
-    assert err.value.lemma == "projection-additive"
-    x, y = err.value.counterexample["x"], err.value.counterexample["y"]
-    assert y in cfg.p ** np.arange(2 * cfg.m)  # a generator e_k
-    assert not np.array_equal(vecs[vertex_sum(x, y, cfg)], (vecs[x] + vecs[y]) % cfg.p)
+    assert err.value.lemma == "projection-relations"
+    assert 3 in err.value.counterexample["triple"]
+    assert err.value.counterexample["vertex"] == cfg.p**row
 
 
 def test_reconstruction_failure_in_the_second_row_names_a_vertex(monkeypatch):
-    # swapping pi_1 and pi_2 keeps the table linear and r1 = pi_1 + pi_2
+    # swapping pi_1 and pi_2 keeps every map linear and r1 = pi_1 + pi_2
     # right; only r2 = mu_1 pi_1 + mu_2 pi_2 is wrong
-    def edit(vecs):
-        vecs[:, [0, 1]] = vecs[:, [1, 0]]
-
-    use_table(monkeypatch, CFG5, edit)
+    real = cliques.pi_matrix
+    use_matrices(monkeypatch, lambda i, pi: real(CFG5, {1: 2, 2: 1}.get(i, i)))
     with pytest.raises(LemmaViolation) as err:
         verify_clique_axioms(CFG5)
     assert err.value.lemma == "reconstruction"
     assert err.value.counterexample["pair"] == (1, 2)
     x = err.value.counterexample["vertex"]
     assert x in 5 ** np.arange(4)  # a basis vector e_k
-    a, b = cliques._pi_tables(CFG5)[0][x, :2]
+    e = all_coords(2, 5)[x].ravel()
+    a, b = e @ real(CFG5, 1) % 5, e @ real(CFG5, 2) % 5
     r1, r2 = all_coords(2, 5)[x]
-    assert np.array_equal((a + b) % 5, r1) and not np.array_equal((a + 2 * b) % 5, r2)
+    assert np.array_equal((a + b) % 5, r1) and not np.array_equal((2 * a + b) % 5, r2)
 
 
 @pytest.mark.parametrize(
@@ -316,9 +357,9 @@ def test_a_missing_pair_of_s_fails_adjacency(monkeypatch):
 def test_a_missing_pair_seen_by_the_census_alone_fails_the_census(monkeypatch):
     real = cliques.cliques_through_zero
 
-    def census(s, target):
+    def census(s, target, base=()):
         *_, smaller = without_pair(s.members, CFG5)
-        return real(cliques.ConnectionSet(smaller, s.m, s.p), target)
+        return real(cliques.ConnectionSet(smaller, s.m, s.p), target, base)
 
     monkeypatch.setattr(cliques, "cliques_through_zero", census)
     t = int(delta_connection_set(CFG5).members[0])

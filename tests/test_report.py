@@ -5,7 +5,7 @@ import json
 import pytest
 
 from orbicert.certify import Certificate, scan_primes
-from orbicert.cliques import MuConfig, delta_connection_set
+from orbicert.cliques import MuConfig, delta_connection_set, verify_clique_axioms
 from orbicert.digraphs import is_connected, orbital_union_set
 from orbicert.errors import EmptyUnion, ParameterTooLarge
 from orbicert.groups import suborbit_elements
@@ -64,6 +64,10 @@ def test_guard_rails():
         orbital_union_set([], 2, 5)
     with pytest.raises(ParameterTooLarge):
         is_connected(orbital_union_set(["A"], 3, 37))  # 37^6 vertices
+    # refused before the connection set's mask of p^(2m) bytes
+    for m, p in [(2, 101), (3, 31)]:
+        with pytest.raises(ParameterTooLarge):
+            verify_clique_axioms(MuConfig(z=4, mus=(1, 2, 3, 4), m=m, p=p))
 
 
 def test_parallel_class_action_consequence(preserves_set):
