@@ -571,6 +571,8 @@ def scan_primes(max_p: int) -> Certificate:
     geometry bound, which ``verify_clique_axioms`` certifies separately,
     one prime at a time.
     """
+    if max_p < 5:
+        raise InvalidConfig(f"the scan starts at p = 5, so max_p = {max_p} scans no prime")
     if max_p > 10**4:
         raise ParameterTooLarge("scan gated to max_p <= 10^4")
     start = time.perf_counter()

@@ -40,7 +40,7 @@ import numpy as np
 from .digraphs import ConnectionSet
 from .errors import DegenerateConfig, IndexOutOfRange, LemmaViolation
 from .fields import fp_inv
-from .matrices import Tensor, decode_array, encode_array, num_vertices
+from .matrices import Tensor, decode_array, direction_matrix, encode_array, num_vertices
 
 DEFAULT_SEED = 1729
 
@@ -157,22 +157,16 @@ def tensor_from_projections(
 def pi_matrix(cfg: MuConfig, i: int) -> np.ndarray:
     """Pi_i = (alpha, beta)^T (x) I_m for the ``pi_functional`` (alpha, beta):
     the 2m x m matrix with pi_i(x) = x Pi_i on row-major digit rows."""
-    alpha, beta = pi_functional(cfg, i)
-    return np.kron([[alpha], [beta]], np.eye(cfg.m, dtype=np.int64))
-
-
-def _slope_matrix(cfg: MuConfig, i: int) -> np.ndarray:
-    """E_i = (1, mu_i) (x) I_m = [I | mu_i I]: row w is the digit row of
-    (e1 + mu_i e2) (x) w."""
-    return np.kron([[1, cfg.mu(i)]], np.eye(cfg.m, dtype=np.int64))
+    return direction_matrix(pi_functional(cfg, i), cfg.m).T
 
 
 def _block(cfg: MuConfig, i: int) -> np.ndarray:
     """The direction block (e1 + mu_i e2) (x) W: the rows w E_i as (p^m, 2, m)
-    coordinates, unreduced, for w in W in index order (0 first, then e_1)."""
+    coordinates, unreduced, for w in W in index order (0 first, then e_1);
+    E_i = [I | mu_i I] is the direction matrix of e1 + mu_i e2."""
     p, m = cfg.p, cfg.m
     w = np.arange(p**m)[:, None] // p ** np.arange(m) % p
-    return (w @ _slope_matrix(cfg, i)).reshape(-1, 2, m)
+    return (w @ direction_matrix((1, cfg.mu(i)), m)).reshape(-1, 2, m)
 
 
 def delta_indices(cfg: MuConfig) -> np.ndarray:
@@ -321,7 +315,7 @@ def verify_clique_axioms(cfg: MuConfig, seed: int = DEFAULT_SEED) -> dict:
             raise LemmaViolation(stage, {**where, "vertex": int(p ** bad.argmax())})
 
     def reconstruct(i: int):
-        rebuilt = pis[i] @ _slope_matrix(cfg, i) + pis[i + 1] @ _slope_matrix(cfg, i + 1)
+        rebuilt = sum(pis[k] @ direction_matrix((1, cfg.mu(k)), m) for k in (i, i + 1))
         require_zero("reconstruction", rebuilt - np.eye(2 * m, dtype=np.int64), pair=(i, i + 1))
 
     record("projection_linearity", n * n + p * n)

@@ -12,9 +12,9 @@ import itertools
 
 import numpy as np
 
-from .errors import DegenerateQuad, InvalidConfig, TableViolation
+from .errors import DegenerateQuad, InvalidConfig, ParameterTooLarge, TableViolation
 from .fields import INFINITY, fp_inv
-from .matrices import Matrix
+from .matrices import MAX_VERTICES, Matrix
 
 # the six classical values as formula codes
 _FORMULAS = ("r", "r/(r-1)", "1-r", "1/r", "1/(1-r)", "(r-1)/r")
@@ -155,10 +155,14 @@ def verify_table1(p: int) -> dict:
     codes 0..p-1 for the slopes, p for INFINITY) is pushed through all 24
     permutations; both evaluation routes (direct recomputation versus the
     formula of the row) must agree.  One vectorized pass evaluates the
-    cross-ratio as a ratio of determinants of homogeneous lifts.
+    cross-ratio as a ratio of determinants of homogeneous lifts.  More
+    than ``MAX_VERTICES`` quadruples (p > 53) are refused before any is built.
     """
     if p < 5:
         raise InvalidConfig(f"the table needs at least 6 points on the line, p={p}")
+    count = (p + 1) * p * (p - 1) * (p - 2)
+    if count > MAX_VERTICES:
+        raise ParameterTooLarge(f"table of {count} quadruples refused (limit {MAX_VERTICES})")
     line = np.array([homogeneous(t, p) for t in projective_line(p)], dtype=np.int64)
     quads = np.array(list(itertools.permutations(range(p + 1), 4)), dtype=np.int64)
     inv = np.array([0] + [fp_inv(v, p) for v in range(1, p)], dtype=np.int64)
@@ -189,7 +193,7 @@ def verify_table1(p: int) -> dict:
             i = bad[0]
             quad = tuple(projective_line(p)[k] for k in quads[i])
             raise TableViolation(sigma, quad, int(formulas[row][i]), int(direct[i]))
-    assert quads.shape[0] == (p + 1) * p * (p - 1) * (p - 2)
+    assert quads.shape[0] == count
     return {
         "p": p,
         "quads_checked": quads.shape[0],

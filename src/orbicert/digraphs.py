@@ -5,6 +5,11 @@ mod p through the vertex codec).  Every connection set used here is closed
 under negation, so arcs come in opposite pairs; directed semantics are kept
 anyway.  Adjacency is answered from a membership bitmap over the p^(2m)
 vertices rather than materialized arc lists.
+
+The Hamming lemma needs no table of the vertices: along two directions the
+splitting x = v1 (x) a + v2 (x) b is a pair of 2m x 2m matrices, and
+``hamming_check`` proves Cay(T, S) = H(2, p^m) from three checks on them
+and on the members of S.
 """
 
 from __future__ import annotations
@@ -13,18 +18,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    BadDecomposition,
-    CertificationFailed,
-    EmptyUnion,
-    ParameterTooLarge,
-)
+from .errors import BadDecomposition, EmptyUnion, IndexOutOfRange
 from .crossratio import homogeneous
 from .fields import INFINITY, fp_inv
 from .matrices import (
     Matrix,
     all_coords,
     decode_array,
+    direction_matrix,
     encode_array,
     linear_vertex_map,
     mat_inv,
@@ -32,8 +33,6 @@ from .matrices import (
     vertex_table_size,
 )
 from .groups import LinPart, classify_all, nontrivial_labels
-
-HAMMING_WITNESS_MAX_VERTICES = 10**6
 
 
 class ConnectionSet:
@@ -71,7 +70,7 @@ class ConnectionSet:
         return int(self.members.size)
 
     def __contains__(self, idx):
-        return bool(self.mask[int(idx)])
+        return bool(self.mask[_vertex(idx, self.mask.size)])
 
     def digits(self) -> np.ndarray:
         """The (|S|, 2m) row-major digit rows of the members, a fresh array."""
@@ -87,33 +86,32 @@ def _negated(rows: np.ndarray, p: int) -> np.ndarray:
     return ((p - rows) % p) @ p ** np.arange(rows.shape[1], dtype=np.int64)
 
 
+def _vertex(idx, n: int) -> int:
+    """idx as an int, refused outside 0 .. n-1 (a negative index would wrap)."""
+    idx = int(idx)
+    if not 0 <= idx < n:
+        raise IndexOutOfRange(f"vertex {idx} outside 0..{n - 1}")
+    return idx
+
+
 # ---------------------------------------------------------------------------
-# translation on the digit grid
+# digit planes
 #
-# The vertex index sum(x_k p^k) is mixed radix, so a length-n array reshaped
-# in C order to (p,) * 2m is a grid whose axis j carries digit 2m-1-j.  On
-# that grid the array of values at x + t is one np.roll by the negated,
-# reversed digits of t: a copy, with no % or matmul over the vertices.
+# The exhaustive arc and additivity checks read the digits of the vertices
+# as uint16 planes, one row per digit, and encode the difference of two
+# vertices by Horner's rule: no % or matmul over the vertices.
 
 
 @lru_cache(maxsize=8)
 def _digit_planes(m: int, p: int) -> np.ndarray:
-    """Digit k of every vertex as plane k of a (2m, p, ..., p) uint16 grid.
+    """Digit k of every vertex as row k of a (2m, p^(2m)) uint16 array.
 
     ``all_coords`` refuses p^(2m) > 10^7, so p < 2^12 and every digit plus p
     fits in 16 bits.
     """
-    n = num_vertices(m, p)
-    planes = all_coords(m, p).reshape(n, 2 * m).T.astype(np.uint16)
-    planes = planes.reshape((2 * m,) + (p,) * (2 * m))
+    planes = all_coords(m, p).reshape(-1, 2 * m).T.astype(np.uint16, order="C")
     planes.flags.writeable = False
     return planes
-
-
-def _translated(grid: np.ndarray, t: int, m: int, p: int) -> np.ndarray:
-    """Values at x + t, for a grid whose trailing 2m axes are the vertex grid."""
-    shift = tuple(-all_coords(m, p)[int(t)].ravel()[::-1])
-    return np.roll(grid, shift, axis=tuple(range(grid.ndim - 2 * m, grid.ndim)))
 
 
 def _encode_difference(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
@@ -134,8 +132,10 @@ def _encode_difference(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
 
 
 def difference_index(x: int, y: int, m: int, p: int) -> int:
-    coords = all_coords(m, p)
-    return int(encode_array((coords[int(x)] - coords[int(y)]) % p, p))
+    """Vertex index of x - y; raises IndexOutOfRange outside the vertices."""
+    n = num_vertices(m, p)
+    u, v = decode_array([_vertex(x, n), _vertex(y, n)], m, p).reshape(2, 2, m)
+    return int(encode_array(u - v, p))
 
 
 def orbital_union_set(labels, m: int, p: int) -> ConnectionSet:
@@ -258,7 +258,7 @@ class VertexPermutation:
         if (s.m, s.p) != (self.m, self.p):
             raise ValueError("permutation and connection set live on different spaces")
         m, p = s.m, s.p
-        planes = _digit_planes(m, p).reshape(2 * m, -1)
+        planes = _digit_planes(m, p)
         phi = self.mapping
         support = np.flatnonzero(phi != np.arange(phi.size))
         minus_t = ((p - planes[:, s.members]) % p)[:, None, :]
@@ -277,33 +277,40 @@ class VertexPermutation:
         """A pair (u, v) with phi(u+v) != phi(u) + phi(v) - phi(0), or None.
 
         The translated map psi(x) = phi(x) - phi(0) is additive iff it is
-        additive against every radix basis vector, so scanning pairs
-        (x, basis) is a complete affinity test.
+        additive against every radix basis vector e_k = p^k, so scanning
+        pairs (x, e_k), k outer and x in index order, is a complete affinity
+        test.  Each pair compares phi(x + e_k) - phi(x) with
+        phi(e_k) - phi(0), the value at x = 0, on the digit planes.  The
+        index of x + e_k is x + p^k, less p^(k+1) where digit k of x is
+        p - 1 and wraps to 0.
         """
-        coords = all_coords(self.m, self.p)
-        perm = self.mapping
-        psi = (coords[perm] - coords[perm[0]]) % self.p
+        p = self.p
+        planes = _digit_planes(self.m, p)
+        idx = np.arange(self.mapping.size)
+        image = planes[:, self.mapping]
         for k in range(2 * self.m):
-            basis = self.p**k
-            shifted = encode_array((coords + coords[basis]) % self.p, self.p)
-            bad = np.nonzero(
-                (psi[shifted] != (psi + psi[basis]) % self.p).any(axis=(1, 2))
-            )[0]
+            ahead = idx + p**k - p ** (k + 1) * (planes[k] == p - 1)
+            step = _encode_difference(image[:, ahead], image, p)
+            bad = np.flatnonzero(step != step[0])
             if bad.size:
-                return int(bad[0]), int(basis)
+                return int(bad[0]), p**k
         return None
 
 
 # ---------------------------------------------------------------------------
 # the two-block decomposition isomorphic to a Hamming graph
+#
+# Along distinct directions d1, d2 with lifts v1, v2, each vertex is
+# x = v1 (x) a + v2 (x) b for one pair (a, b) of W.  On row-major digit rows
+# the splitting is [a | b] G = x and x H = [a | b] for two 2m x 2m matrices,
+# so neither the lemma nor the witness tabulates the vertices' coordinates.
 
 
-def hamming_coordinates(d1, d2, m: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates (a, b) of every vertex in the splitting along d1, d2.
+def _splitting(d1, d2, m: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(G, H) for the splitting along d1, d2.
 
-    Writing x = v1 (x) a + v2 (x) b for the direction vectors v1, v2, the
-    map x -> (code(a), code(b)) is the vertex bijection onto the Hamming
-    square of side p^m.
+    G stacks the direction matrices [v0 I | v1 I] of v1 over v2, so
+    [a | b] G = x; H = inv(D)^T (x) I_m for D = (v1 | v2), so x H = [a | b].
     """
     if d1 == d2 or (d1 is INFINITY and d2 is INFINITY):
         raise BadDecomposition("directions must be distinct")
@@ -312,84 +319,59 @@ def hamming_coordinates(d1, d2, m: int, p: int) -> tuple[np.ndarray, np.ndarray]
     mat = Matrix(((v1[0], v2[0]), (v1[1], v2[1])), p)
     if not mat.is_invertible():
         raise BadDecomposition("directions do not span the 2-dimensional factor")
-    inv = mat_inv(mat).array
-    coords = all_coords(m, p)
-    r = coords  # (n, 2, m); rows r1, r2
-    a = (inv[0, 0] * r[:, 0, :] + inv[0, 1] * r[:, 1, :]) % p
-    b = (inv[1, 0] * r[:, 0, :] + inv[1, 1] * r[:, 1, :]) % p
-    radix = p ** np.arange(m, dtype=np.int64)
-    return a @ radix, b @ radix
+    g = np.vstack([direction_matrix(v1, m), direction_matrix(v2, m)])
+    return g, np.kron(mat_inv(mat).array.T, np.eye(m, dtype=np.int64))
 
 
 def hamming_check(s: ConnectionSet, d1, d2) -> bool:
     """Certify Cay(T, S) isomorphic to the Hamming graph H(2, p^m).
 
-    Requires S to be exactly the union of the two direction blocks minus 0;
-    then verifies the coordinate map is a bijection carrying arcs to
-    Hamming adjacency and back, exhaustively.  Arcs (x + t, x) are checked
-    by rolling the (a, b) code grids by the negated, reversed digits of t,
-    the grid form of x -> x + t; Hamming pairs by the Horner encoding of
-    their difference.  Both halves visit one member of each reverse pair
-    only (t or -t; delta or q - delta): S = -S and Hamming adjacency is
-    symmetric, so the other member's verdict is the same.
+    With (G, H) the splitting along d1, d2 (``_splitting``), three checks:
+
+    1. H G = I (mod p);
+    2. every member of S has exactly one zero half in its coordinates x H;
+    3. |S| = 2(p^m - 1).
+
+    They prove the isomorphism x -> (code(a), code(b)) for [a | b] = x H.
+    By 1, H is invertible, so x -> x H is a linear bijection of T onto
+    W x W.  By 2 it maps S into the two axes minus 0,
+    (W - 0) x 0 u 0 x (W - 0), a set of 2(p^m - 1) points; by 3 and
+    injectivity it maps S onto that set, so S is exactly the two direction
+    blocks minus 0.  By linearity (x - y) H = x H - y H, so x - y is in S
+    iff the coordinates of x and y differ in exactly one place: Hamming
+    adjacency.
+
+    Returns False if 1 fails; raises BadDecomposition if 2 or 3 fails, or
+    if the directions do not split the tensor space.
     """
     m, p = s.m, s.p
-    acode, bcode = hamming_coordinates(d1, d2, m, p)
-    block = ((acode != 0) & (bcode == 0)) | ((acode == 0) & (bcode != 0))
-    if not np.array_equal(np.nonzero(block)[0], s.members):
+    g, h = _splitting(d1, d2, m, p)
+    if ((h @ g - np.eye(2 * m, dtype=np.int64)) % p).any():
+        return False
+    nonzero = (s.digits() @ h % p).reshape(len(s), 2, m).any(axis=2)
+    if not (nonzero[:, 0] ^ nonzero[:, 1]).all() or len(s) != 2 * (p**m - 1):
         raise BadDecomposition("S is not the union of the two direction blocks")
-    q = p**m
-    pair = acode * q + bcode
-    if np.unique(pair).size != pair.size:
-        raise BadDecomposition("coordinate map is not a bijection")
-    # arcs -> Hamming adjacency, one member of each pair +-t (the relation
-    # "differs in exactly one coordinate" is symmetric)
-    grid = (p,) * (2 * m)
-    agrid, bgrid = acode.reshape(grid), bcode.reshape(grid)
-    for t in s.members[s.members <= _negated(s.digits(), p)]:
-        da = _translated(agrid, t, m, p) != agrid
-        db = _translated(bgrid, t, m, p) != bgrid
-        if not np.logical_xor(da, db).all():
-            return False
-    # Hamming adjacency -> arcs: same-b pairs and same-a pairs.  The pairs at
-    # delta and q - delta are reverses of each other and S = -S, so
-    # delta <= (q - 1) / 2 covers them all.
-    lookup = np.empty(q * q, dtype=np.int64)
-    lookup[pair] = np.arange(pair.size)
-    planes = _digit_planes(m, p).reshape(2 * m, -1)
-    for delta in range(1, (q + 1) // 2):
-        # change the a-coordinate to any other value with b fixed, and dually
-        other_a = lookup[((acode + delta) % q) * q + bcode]
-        if not s.mask[_encode_difference(planes[:, other_a], planes, p)].all():
-            return False
-        other_b = lookup[acode * q + (bcode + delta) % q]
-        if not s.mask[_encode_difference(planes[:, other_b], planes, p)].all():
-            return False
     return True
 
 
 def hamming_witness(d1, d2, m: int, p: int) -> VertexPermutation:
     """The candidate non-affine automorphism of the two-block Cayley graph.
 
-    Acts in Hamming coordinates by transposing the W-codes 1 and 2 (the
-    encodings of f_1 and 2 f_1) on the first coordinate only; any
+    Acts in Hamming coordinates by transposing a = f_1 and a = 2 f_1 (the
+    W-codes 1 and 2) for every b, and fixes every other vertex; any
     non-linear permutation of one side works, this one is the canonical
-    choice.  It moves only the 2 p^m vertices whose first coordinate is 1
-    or 2.  Only builds the permutation: the caller certifies it on its own
+    choice.  The 2 p^m moved vertices are the rows c f_1 G_1 + b G_2,
+    c in {1, 2}, of the splitting matrix G = (G_1 over G_2), and none is 0.
+    Only builds the permutation: the caller certifies it on its own
     connection set with ``is_automorphism``, which checks the arcs that
     leave those moved vertices, for every t in S, and
     ``nonadditive_witness``.
     """
-    if num_vertices(m, p) > HAMMING_WITNESS_MAX_VERTICES:
-        raise ParameterTooLarge("witness certification gated to p^(2m) <= 10^6")
-    acode, bcode = hamming_coordinates(d1, d2, m, p)
-    q = p**m
-    pair = acode * q + bcode
-    lookup = np.empty(q * q, dtype=np.int64)
-    lookup[pair] = np.arange(pair.size)
-    sigma = np.arange(q, dtype=np.int64)
-    sigma[1], sigma[2] = 2, 1
-    perm = VertexPermutation(lookup[sigma[acode] * q + bcode], m, p)
-    if not perm.fixes_zero():
-        raise CertificationFailed("hamming witness", "zero not fixed")
-    return perm
+    n = vertex_table_size(m, p)  # refused before the n-entry mapping
+    g, _ = _splitting(d1, d2, m, p)
+    w = np.arange(p**m)[:, None] // p ** np.arange(m) % p
+    side = w @ g[m:]  # the digit rows of v2 (x) b, b in index order
+    one, two = (encode_array((side + c * g[0]).reshape(-1, 2, m), p) for c in (1, 2))
+    mapping = np.arange(n)
+    mapping[one], mapping[two] = two, one
+    return VertexPermutation(mapping, m, p)

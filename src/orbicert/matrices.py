@@ -458,6 +458,12 @@ def simple_factorize(x: Tensor):
     return (0, 1), r2
 
 
+def direction_matrix(v, m: int) -> np.ndarray:
+    """(v0, v1) (x) I_m = [v0 I | v1 I], the m x 2m matrix whose row w is the
+    row-major digit row of the simple tensor (v0 e1 + v1 e2) (x) w."""
+    return np.kron([[int(v[0]), int(v[1])]], np.eye(m, dtype=np.int64))
+
+
 def product_image(digits: np.ndarray, a: Matrix, b: Matrix, p: int) -> np.ndarray:
     """Vertex indices of the images of (k, 2m) row-major digit rows under (a, b).
 

@@ -1,5 +1,6 @@
 """Shared test oracles."""
 
+import numpy as np
 import pytest
 
 from orbicert.groups import LinPart
@@ -14,6 +15,27 @@ def preserves_set(lin, s):
     """
     a, b = (lin.a, lin.b) if isinstance(lin, LinPart) else lin
     return bool(s.mask[product_image(s.digits(), a, b, s.p)].all())
+
+
+def nonadditive_witness(perm):
+    """The first pair (x, p^k), k outer, with phi(x + p^k) != phi(x) +
+    phi(p^k) - phi(0), or None.
+
+    The reference for ``VertexPermutation.nonadditive_witness``: every
+    vertex re-encoded through the codec once per basis vector, on (n, 2, m)
+    coordinate arrays, with no digit planes.
+    """
+    m, p = perm.m, perm.p
+    coords = all_coords(m, p)
+    phi = perm.mapping
+    psi = (coords[phi] - coords[phi[0]]) % p
+    for k in range(2 * m):
+        basis = p**k
+        shifted = encode_array((coords + coords[basis]) % p, p)
+        bad = np.nonzero((psi[shifted] != (psi + psi[basis]) % p).any(axis=(1, 2)))[0]
+        if bad.size:
+            return int(bad[0]), int(basis)
+    return None
 
 
 def enumerate_size_cliques(s, target):
@@ -72,6 +94,12 @@ def enumerate_size_cliques(s, target):
 def size_cliques():
     """The all-vertex clique census, as a fixture so any import mode finds it."""
     return enumerate_size_cliques
+
+
+@pytest.fixture(name="nonadditive_witness")
+def nonadditive_witness_fixture():
+    """The re-encoding affinity oracle, as a fixture so any import mode finds it."""
+    return nonadditive_witness
 
 
 @pytest.fixture(name="preserves_set")

@@ -1,6 +1,9 @@
 """Command-line surface: dispatch, exit codes, deterministic JSON."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -93,6 +96,7 @@ def test_invalid_config_exit_2(capsys):
         ("rank", "--p", "9"),
         ("verify", "cliques", "--p", "7", "--mu", "1,1,3,4"),
         ("verify", "two-closed", "--p", "11"),
+        ("scan", "--max-prime", "4"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -112,6 +116,21 @@ def test_rank_of_a_composite_modulus_is_not_verified(capsys):
     assert code == 2
     assert "VERIFIED" not in out
     assert "odd prime" in err
+
+
+def test_the_hamming_lemma_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on first use, 10-17 ms of a short command
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys; from orbicert.cli import main; "
+        "main(['verify', 'lemma', 'hamming-A', '--p', '13', '--format', 'json']); "
+        "print('numpy.ma' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_certification_error_exit_1(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import orbicert.crossratio as crossratio
 from orbicert.crossratio import (
     PERMUTATION_ROWS,
     check_v4_collineations,
@@ -18,7 +19,7 @@ from orbicert.crossratio import (
     projective_line,
     verify_table1,
 )
-from orbicert.errors import DegenerateQuad
+from orbicert.errors import DegenerateQuad, ParameterTooLarge
 from orbicert.fields import INFINITY
 from orbicert.matrices import Matrix
 
@@ -81,6 +82,16 @@ def test_verify_table1_small():
     out = verify_table1(5)
     assert out["quads_checked"] == 6 * 5 * 4 * 3
     assert out["status"] == "pass"
+
+
+def test_verify_table1_refuses_a_table_over_the_vertex_limit(monkeypatch):
+    # 102 * 101 * 100 * 99 quadruples: refused before one is built
+    def no_quads(*args):
+        raise AssertionError("quadruples built")
+
+    monkeypatch.setattr(crossratio.itertools, "permutations", no_quads)
+    with pytest.raises(ParameterTooLarge, match="quadruples"):
+        verify_table1(101)
 
 
 def test_fractional_action_and_invariance():

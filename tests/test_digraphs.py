@@ -20,7 +20,8 @@ from orbicert.digraphs import (
     is_connected,
     orbital_union_set,
 )
-from orbicert.errors import BadDecomposition, EmptyUnion
+from orbicert.crossratio import homogeneous
+from orbicert.errors import BadDecomposition, EmptyUnion, IndexOutOfRange
 from orbicert.fields import INFINITY
 from orbicert.groups import LinPart, d8_elements, nontrivial_labels, suborbit_indices
 from orbicert.matrices import Matrix, Tensor, all_coords, encode_array, num_vertices
@@ -106,6 +107,20 @@ def test_is_arc():
     for _ in range(50):
         a, b = rng.randrange(625), rng.randrange(625)
         assert is_arc(a, b, s) == is_arc(b, a, s)  # negation-closed
+
+
+def test_vertices_outside_the_range_are_refused():
+    # -1 would wrap to vertex n - 1, and n would raise a raw numpy error
+    m, p = 2, 5
+    n = num_vertices(m, p)
+    s = orbital_union_set(["A"], m, p)
+    for x, y in [(-1, 0), (n, 0), (0, -1), (0, n)]:
+        with pytest.raises(IndexOutOfRange):
+            is_arc(x, y, s)
+    for idx in (-1, n):
+        with pytest.raises(IndexOutOfRange):
+            idx in s
+    assert is_arc(n - 1, n - 2, s) == (1 in s)  # the last vertex is in range
 
 
 def test_connectivity():
@@ -232,6 +247,11 @@ def test_hamming_witness_certificates():
     assert w.nonadditive_witness() is not None
     # transposing the same two codes twice is the identity
     assert np.array_equal(w.mapping[w.mapping], np.arange(num_vertices(m, p)))
+    # along (0, inf), x = [a | b] on digit rows: it swaps a = f_1 and a = 2 f_1
+    index = np.arange(num_vertices(m, p))
+    moved = np.flatnonzero(w.mapping != index)
+    assert np.array_equal(moved, np.flatnonzero(np.isin(index % p**m, [1, 2])))
+    assert np.array_equal(w.mapping[moved] % p**m, 3 - moved % p**m)
 
 
 def test_linear_permutations_are_affine():
@@ -241,11 +261,63 @@ def test_linear_permutations_are_affine():
     assert perm.nonadditive_witness() is None
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_nonadditive_witness_of_every_hamming_witness_is_the_oracle_pair(
+    p, nonadditive_witness
+):
+    m = 2
+    for token in nontrivial_labels(p):
+        dirs = hamming_capable(token, p)
+        if dirs:
+            w = hamming_witness(dirs[0], dirs[1], m, p)
+            got = w.nonadditive_witness()
+            assert got is not None and got == nonadditive_witness(w), (token, got)
+
+
+def test_nonadditive_witness_matches_the_oracle_on_random_maps(nonadditive_witness):
+    # random permutations, and affine maps with a few swapped images, whose
+    # first failing pair lies deeper in the scan
+    m, p = 2, 5
+    n = num_vertices(m, p)
+    ident = Matrix.identity(m, p)
+    outcomes = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        base=st.one_of(
+            st.permutations(range(n)).map(np.array),
+            st.tuples(_invertible(p), st.integers(0, n - 1)).map(
+                lambda at: _affine(at[0], ident, at[1], m, p)
+            ),
+        ),
+        swaps=st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2),
+    )
+    @example(base=_affine(Matrix(((1, 1), (1, -1)), p), ident, 7, m, p), swaps=[])
+    @example(base=_affine(Matrix(((1, 1), (1, -1)), p), ident, 7, m, p), swaps=[(600, 601)])
+    def check(base, swaps):
+        mapping = base.copy()
+        for i, j in swaps:
+            mapping[[i, j]] = mapping[[j, i]]
+        perm = VertexPermutation(mapping, m, p)
+        got = perm.nonadditive_witness()
+        assert got == nonadditive_witness(perm)
+        outcomes.add(got is None)
+
+    check()
+    assert outcomes == {True, False}
+
+
 def _invertible(p: int):
     entries = st.integers(0, p - 1)
     return st.tuples(
         st.tuples(entries, entries), st.tuples(entries, entries)
     ).map(lambda rows: Matrix(rows, p)).filter(lambda a: a.is_invertible())
+
+
+def _affine(a, b, c, m, p):
+    """Mapping of x -> (a, b) x + c, for a vertex c."""
+    image = all_coords(m, p)[VertexPermutation.from_linear((a, b), m, p).mapping]
+    return encode_array(image + all_coords(m, p)[c], p)
 
 
 def test_arc_check_agrees_with_preserves_set(preserves_set):
@@ -275,14 +347,12 @@ def test_arc_check_agrees_with_preserves_set(preserves_set):
 
 @pytest.mark.parametrize("p, m", [(3, 2), (5, 2), (3, 3)])
 def test_grid_translation_and_horner_match_the_codec(p, m):
-    # the two kernels of the arc checks against encode_array, for every t
+    # the digit planes and the Horner difference of the arc checks against
+    # encode_array
     n = num_vertices(m, p)
     coords = all_coords(m, p)
-    index_grid = np.arange(n).reshape((p,) * (2 * m))
-    for t in range(n):
-        rolled = digraphs._translated(index_grid, t, m, p).ravel()
-        assert np.array_equal(rolled, encode_array((coords + coords[t]) % p, p))
-    planes = digraphs._digit_planes(m, p).reshape(2 * m, n)
+    planes = digraphs._digit_planes(m, p)
+    assert np.array_equal(planes.T, coords.reshape(n, 2 * m))
     rng = np.random.default_rng(3)
     u, v = rng.integers(n, size=(2, 4 * n))
     got = digraphs._encode_difference(planes[:, u], planes[:, v], p)
@@ -373,26 +443,81 @@ def test_hamming_check_on_every_capable_label(p, m):
         assert hamming_check(orbital_union_set([token], m, p), d1, d2), token
 
 
-def test_hamming_check_refuses_a_scrambled_coordinate_map(monkeypatch):
-    # swapping the codes of two vertices outside S keeps the block set and
-    # the bijection but breaks adjacency, so the exhaustive check must fail
+def _hamming_oracle(s, d1, d2) -> bool:
+    """Whether x = v1 (x) a + v2 (x) b is a bijection onto the pairs (a, b)
+    and x - y is in S iff (a, b) of x and y differ in exactly one place,
+    over every pair (x, y) of vertices."""
+    m, p = s.m, s.p
+    n, q = num_vertices(m, p), p**m
+    v1, v2 = homogeneous(d1, p), homogeneous(d2, p)
+    w = [Tensor.from_index(c, m, p).row1 for c in range(q)]
+    vertex = np.array(
+        [[(Tensor.simple(v1, a, p) + Tensor.simple(v2, b, p)).index for b in w] for a in w]
+    )
+    if np.unique(vertex).size != n:
+        return False
+    acode, bcode = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    acode[vertex], bcode[vertex] = np.divmod(np.arange(n).reshape(q, q), q)
+    coords = all_coords(m, p)
+    arcs = s.mask[encode_array(coords[:, None] - coords[None, :], p)]
+    one_place = (acode[:, None] != acode) ^ (bcode[:, None] != bcode)
+    return bool(np.array_equal(arcs, one_place))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_hamming_check_is_the_all_pairs_oracle(p):
+    # every label against every Hamming-capable direction pair, both orders
+    m = 2
+    capable = [hamming_capable(t, p) for t in nontrivial_labels(p)]
+    capable = [d for d in capable if d]
+    pairs = capable + [(d2, d1) for d1, d2 in capable]
+    verdicts = set()
+    for token in nontrivial_labels(p):
+        s = orbital_union_set([token], m, p)
+        for d1, d2 in pairs:
+            expected = _hamming_oracle(s, d1, d2)
+            try:
+                got = hamming_check(s, d1, d2)
+            except BadDecomposition:
+                got = False
+            assert got == expected, (token, d1, d2)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_hamming_check_refuses_a_wrong_inverse(monkeypatch):
+    # H = 2 inv(D)^T (x) I leaves every zero half in place, so only the
+    # H G = I check sees it
     m, p = 2, 5
     s = orbital_union_set(["A"], m, p)
-    real = digraphs.hamming_coordinates
-
-    def scrambled(d1, d2, m, p):
-        a, b = (c.copy() for c in real(d1, d2, m, p))
-        x, y = [v for v in range(1, a.size) if v not in s][:2]
-        a[[x, y]], b[[x, y]] = a[[y, x]], b[[y, x]]
-        return a, b
-
+    real = digraphs._splitting
     assert hamming_check(s, 0, INFINITY)
-    monkeypatch.setattr(digraphs, "hamming_coordinates", scrambled)
-    assert not hamming_check(s, 0, INFINITY)
+    monkeypatch.setattr(digraphs, "_splitting", lambda *a: (real(*a)[0], 2 * real(*a)[1]))
+    assert hamming_check(s, 0, INFINITY) is False
+
+
+def test_hamming_check_refuses_a_set_that_is_not_the_two_blocks():
+    # negation-closed and of the Hamming degree, but one pair +-t of the
+    # blocks is traded for a pair +-u of the B suborbit; and a proper subset
+    m, p = 2, 5
+    s = orbital_union_set(["A"], m, p)
+    t = int(s.members[0])
+    u = int(orbital_union_set(["B"], m, p).members[0])
+    drop = {t, int(negated(t, m, p))}
+    traded = ConnectionSet(
+        [v for v in s.members.tolist() if v not in drop] + [u, int(negated(u, m, p))], m, p
+    )
+    assert len(traded) == len(s) == 2 * (p**m - 1)
+    with pytest.raises(BadDecomposition):
+        hamming_check(traded, 0, INFINITY)
+    subset = ConnectionSet([v for v in s.members.tolist() if v not in drop], m, p)
+    with pytest.raises(BadDecomposition):
+        hamming_check(subset, 0, INFINITY)
 
 
 def test_arc_checks_do_not_reencode_per_member(monkeypatch):
-    # the grid kernels replace encode_array inside both exhaustive checks
+    # the digit planes and the splitting matrices replace encode_array inside
+    # the exhaustive checks
     m, p = 2, 5
     s = orbital_union_set(["A"], m, p)
     comp = orbital_union_set(sorted(complement_labels(["A"], p)), m, p)
@@ -406,6 +531,7 @@ def test_arc_checks_do_not_reencode_per_member(monkeypatch):
     monkeypatch.setattr(digraphs, "encode_array", counting)
     assert w.is_automorphism(s) and w.is_automorphism(comp)
     assert hamming_check(s, 0, INFINITY)
+    assert w.nonadditive_witness() is not None
     assert len(calls) == 0
 
 
