@@ -45,7 +45,7 @@ from .errors import (
     ParameterTooLarge,
     ScanViolation,
 )
-from .fields import INFINITY, is_prime
+from .fields import INFINITY, MAX_PRIME, is_prime
 from .groups import (
     classify_all,
     g0_contains,
@@ -573,8 +573,8 @@ def scan_primes(max_p: int) -> Certificate:
     """
     if max_p < 5:
         raise InvalidConfig(f"the scan starts at p = 5, so max_p = {max_p} scans no prime")
-    if max_p > 10**4:
-        raise ParameterTooLarge("scan gated to max_p <= 10^4")
+    if max_p > MAX_PRIME:
+        raise ParameterTooLarge(f"scan gated to max_p <= {MAX_PRIME}")
     start = time.perf_counter()
     set2 = obstruction_polynomials(2)
     set4 = obstruction_polynomials(4)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from .errors import ZeroInverse
 
 MAX_MODULUS = 2**31  # products of residues then fit in 64-bit intermediates
+MAX_PRIME = 10**4  # the largest p of the prime scan and of the cross-ratio table
 
 
 class _Infinity:

@@ -1,10 +1,21 @@
 """Shared test oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+import orbicert.crossratio as crossratio
+from orbicert.crossratio import apply_formula, cross_ratio, permute_quad, projective_line
+from orbicert.errors import TableViolation
 from orbicert.groups import LinPart
-from orbicert.matrices import all_coords, encode_array, num_vertices, product_image
+from orbicert.matrices import (
+    all_coords,
+    decode_array,
+    encode_array,
+    num_vertices,
+    product_image,
+)
 
 
 def preserves_set(lin, s):
@@ -41,9 +52,9 @@ def nonadditive_witness(perm):
 def enumerate_size_cliques(s, target):
     """All maximal cliques of Cay(T, S) of size >= target, over all vertices.
 
-    The reference for the census through 0 in ``orbicert.cliques``: the
-    same pivoting branch-and-bound, but over big-int adjacency bitsets of
-    all p^(2m) vertices, with no translation argument.  Desk scale only.
+    The reference for ``cliques_through_zero``: the same pivoting
+    branch-and-bound, but over big-int adjacency bitsets of all p^(2m)
+    vertices, with no translation argument.  Desk scale only.
     """
     n = num_vertices(s.m, s.p)
     coords = all_coords(s.m, s.p)
@@ -90,10 +101,106 @@ def enumerate_size_cliques(s, target):
     return found
 
 
+def cliques_through_zero(s, target, base=()):
+    """Every maximal clique of Cay(T, S) with >= target vertices through 0
+    and every vertex of ``base``; none unless 0 and the base form a clique.
+
+    The reference that Bruck's bound in ``orbicert.cliques`` is checked
+    against.  Such a clique is 0 plus the base plus a maximal clique of the
+    graph induced on their common neighbours, the v in S with v - b in S
+    for each b in the base.  The pivoting branch-and-bound of Tomita,
+    Tanaka and Takahashi (TCS 363, 2006) runs over bitsets of those
+    vertices and abandons a branch once |R| + |P| drops below the target.
+    """
+    p, radix = s.p, s.p ** np.arange(2 * s.m, dtype=np.int64)
+    base = np.asarray(base, dtype=np.int64)
+    rows, fixed = s.digits(), decode_array(base, s.m, p)
+    inner = s.mask[((fixed[:, None] - fixed) % p) @ radix] | np.eye(base.size, dtype=bool)
+    if not (s.mask[base].all() and inner.all()):
+        return []
+    near = s.mask[((rows[:, None] - fixed) % p) @ radix].all(axis=1)
+    members, rows = s.members[near], rows[near]
+    adj = []
+    for lo in range(0, members.size, 128):
+        diffs = ((rows[None, :] - rows[lo : lo + 128, None]) % p) @ radix
+        packed = np.packbits(s.mask[diffs], axis=1, bitorder="little")
+        adj.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+
+    found = []
+    need = target - 1 - base.size  # vertices besides 0 and the base
+
+    def expand(r, p_bits, x_bits):
+        if len(r) + p_bits.bit_count() < need:
+            return
+        if p_bits == 0 and x_bits == 0:
+            found.append(frozenset([0, *base.tolist(), *(int(members[v]) for v in r)]))
+            return
+        # pivot on the candidate covering most of P
+        best, best_cover = -1, -1
+        probe = p_bits | x_bits
+        while probe:
+            u = (probe & -probe).bit_length() - 1
+            cover = (p_bits & adj[u]).bit_count()
+            if cover > best_cover:
+                best, best_cover = u, cover
+            probe &= probe - 1
+        branch = p_bits & ~adj[best]
+        while branch:
+            v = (branch & -branch).bit_length() - 1
+            yield r + (v,), p_bits & adj[v], x_bits & adj[v]
+            p_bits &= ~(1 << v)
+            x_bits |= 1 << v
+            branch &= branch - 1
+            if len(r) + p_bits.bit_count() < need:
+                return
+
+    # each call yields its subcalls to this loop, so a clique of p^m
+    # vertices does not nest p^m Python frames (the limit is 1000)
+    calls = [expand((), (1 << members.size) - 1, 0)]
+    while calls:
+        sub = next(calls[-1], None)
+        if sub is None:
+            calls.pop()
+        else:
+            calls.append(expand(*sub))
+    return found
+
+
+def table1_all_quadruples(p):
+    """The reference for ``orbicert.crossratio.verify_table1``: every ordered
+    pairwise-distinct quadruple of the p+1 points, each of the 24 rows of
+    ``PERMUTATION_ROWS`` (read at call time) by the scalar cross-ratio and
+    formula, with no frame argument.  Raises TableViolation on the first
+    disagreement; returns the number of quadruples checked.
+    """
+    count = 0
+    for quad in itertools.permutations(projective_line(p), 4):
+        r = cross_ratio(quad, p)
+        for sigma, row in crossratio.PERMUTATION_ROWS.items():
+            direct = cross_ratio(permute_quad(sigma, quad), p)
+            expected = apply_formula(row, r, p)
+            if direct != expected:
+                raise TableViolation(sigma, quad, expected, direct)
+        count += 1
+    return count
+
+
 @pytest.fixture
 def size_cliques():
     """The all-vertex clique census, as a fixture so any import mode finds it."""
     return enumerate_size_cliques
+
+
+@pytest.fixture(name="cliques_through_zero")
+def cliques_through_zero_fixture():
+    """The census search through 0, as a fixture so any import mode finds it."""
+    return cliques_through_zero
+
+
+@pytest.fixture(name="table1_all_quadruples")
+def table1_all_quadruples_fixture():
+    """The all-quadruple Table 1 check, as a fixture so any import mode finds it."""
+    return table1_all_quadruples
 
 
 @pytest.fixture(name="nonadditive_witness")

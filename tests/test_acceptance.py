@@ -289,6 +289,9 @@ def test_criterion_09_clique_structural_lemmas():
             n = p**4
             linearity = out["checks"]["projection_linearity"]["instances_checked"]
             assert linearity == n * n + p * n
+        # the largest prime whose p^4-bit connection-set mask is admitted
+        out = verify_clique_axioms(MuConfig(z=4, mus=(1, 2, 3, 4), m=2, p=53))
+        assert out["checks"]["clique_census"]["maximum_cliques"] == 4 * 53**2
 
 
 def test_criterion_10_cross_ratio_table():

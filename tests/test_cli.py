@@ -111,6 +111,13 @@ def test_cross_ratio_table_needs_six_points(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_cross_ratio_table_over_the_scan_ceiling_exits_1(capsys):
+    code, out, err = run_cli(capsys, "verify", "cross-ratio-table", "--p", "10007")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "10007" in err and err.count("\n") == 1
+
+
 def test_rank_of_a_composite_modulus_is_not_verified(capsys):
     code, out, err = run_cli(capsys, "rank", "--p", "9")
     assert code == 2

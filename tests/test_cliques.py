@@ -13,7 +13,7 @@ import orbicert.matrices as matrices
 from orbicert.cliques import (
     CliqueId,
     MuConfig,
-    cliques_through_zero,
+    bruck_bound,
     delta_connection_set,
     ell_clique,
     pi_projection,
@@ -30,6 +30,7 @@ CFG5 = MuConfig(z=4, mus=(1, 2, 3, 4), m=2, p=5)
 CFG7 = MuConfig(z=4, mus=(2, 3, 4, 5), m=2, p=7)
 CFG13 = MuConfig(z=4, mus=(2, 6, 7, 11), m=2, p=13)
 CFG17 = MuConfig(z=6, mus=(1, 2, 8, 9, 15, 16), m=2, p=17)
+CFG7Z6 = MuConfig(z=6, mus=(1, 2, 3, 4, 5, 6), m=2, p=7)
 
 
 def rand_tensor(cfg, rng):
@@ -53,6 +54,9 @@ def test_config_validation():
         MuConfig(z=4, mus=(1, 2, 3), m=2, p=7)
     with pytest.raises(DegenerateConfig):
         MuConfig(z=4, mus=(1, 2, 3, 8), m=2, p=7)  # 8 = 1 mod 7
+    for m in (1, 0):
+        with pytest.raises(DegenerateConfig, match="m must be at least 2"):
+            MuConfig(z=4, mus=(1, 2, 3, 4), m=m, p=7)
     cfg = MuConfig(z=6, mus=(1, 2, 8, 9, 15, 16), m=2, p=17)
     assert cfg.partner(3) == 4 and cfg.partner(6) == 5
     with pytest.raises(IndexOutOfRange):
@@ -178,8 +182,8 @@ def test_census_p5_exact(size_cliques):
     assert set(found) == expected
 
 
-@pytest.mark.parametrize("cfg", [CFG5, CFG7], ids=["p5", "p7"])
-def test_census_through_zero_is_the_full_census_at_zero(cfg, size_cliques):
+@pytest.mark.parametrize("cfg", [CFG5, CFG7, CFG7Z6], ids=["p5", "p7", "p7z6"])
+def test_census_through_zero_is_the_full_census_at_zero(cfg, size_cliques, cliques_through_zero):
     s = delta_connection_set(cfg)
     qm = cfg.p**cfg.m
     full = size_cliques(s, qm)
@@ -188,7 +192,7 @@ def test_census_through_zero_is_the_full_census_at_zero(cfg, size_cliques):
     assert set(through_zero) == {c for c in full if 0 in c}
 
 
-def test_census_depth_is_not_bounded_by_the_recursion_limit():
+def test_census_depth_is_not_bounded_by_the_recursion_limit(cliques_through_zero):
     # a clique of p^m vertices must not nest p^m Python frames: at p = 31
     # that is near the default limit of 1000
     s = delta_connection_set(CFG7)
@@ -222,7 +226,7 @@ def test_axioms_exhaustive_p13():
     assert again["seed"] == 1729 and {**out, "seed": 1729} == again
 
 
-def test_census_through_zero_p13():
+def test_census_through_zero_p13(cliques_through_zero):
     found = cliques_through_zero(delta_connection_set(CFG13), 169)
     assert set(found) == {ell_clique(CliqueId(i, 0), CFG13) for i in CFG13.index_set}
 
@@ -232,8 +236,8 @@ def edge_of_block(cfg, k):
     return 1 + cfg.mu(k) * cfg.p**cfg.m
 
 
-@pytest.mark.parametrize("cfg", [CFG5, CFG7, CFG13], ids=["p5", "p7", "p13"])
-def test_the_census_through_one_edge_is_the_oracle_census_through_it(cfg):
+@pytest.mark.parametrize("cfg", [CFG5, CFG7, CFG7Z6, CFG13], ids=["p5", "p7", "p7z6", "p13"])
+def test_the_census_through_one_edge_is_the_oracle_census_through_it(cfg, cliques_through_zero):
     s = delta_connection_set(cfg)
     qm = cfg.p**cfg.m
     oracle = cliques_through_zero(s, qm)
@@ -244,7 +248,7 @@ def test_the_census_through_one_edge_is_the_oracle_census_through_it(cfg):
         assert through == [ell_clique(CliqueId(cfg.partner(k), 0), cfg)]
 
 
-def test_a_base_that_is_not_a_clique_with_zero_has_no_cliques():
+def test_a_base_that_is_not_a_clique_with_zero_has_no_cliques(cliques_through_zero):
     s = delta_connection_set(CFG5)
     assert cliques_through_zero(s, 2, base=(0,)) == []  # 0 is not in S
     apart = [edge_of_block(CFG5, 1), edge_of_block(CFG5, 2)]  # different blocks
@@ -354,18 +358,29 @@ def test_a_missing_pair_of_s_fails_adjacency(monkeypatch):
     assert err.value.counterexample["x"] in (t, minus_t)
 
 
-def test_a_missing_pair_seen_by_the_census_alone_fails_the_census(monkeypatch):
-    real = cliques.cliques_through_zero
-
-    def census(s, target, base=()):
-        *_, smaller = without_pair(s.members, CFG5)
-        return real(cliques.ConnectionSet(smaller, s.m, s.p), target, base)
-
-    monkeypatch.setattr(cliques, "cliques_through_zero", census)
-    t = int(delta_connection_set(CFG5).members[0])
+@pytest.mark.parametrize("cfg", [CFG5, CFG7Z6], ids=["p5", "p7z6"])
+def test_a_bound_at_the_clique_size_fails_the_census(monkeypatch, cfg):
+    qm = cfg.p**cfg.m
+    monkeypatch.setattr(cliques, "bruck_bound", lambda z: qm - 1)
+    assert verify_clique_axioms(cfg)["checks"]["clique_census"]["status"] == "pass"
+    monkeypatch.setattr(cliques, "bruck_bound", lambda z: qm)
     with pytest.raises(LemmaViolation) as err:
-        verify_clique_axioms(CFG5)
+        verify_clique_axioms(cfg)
     assert err.value.lemma == "clique-census"
-    (missing,) = err.value.counterexample["missing"]
-    assert missing.rep == 0 and t in ell_clique(missing, CFG5)
-    assert err.value.counterexample["found"] == CFG5.z - 1
+    assert err.value.counterexample == {"clique_size": qm, "bruck_bound": qm}
+
+
+def test_at_m_1_a_clique_of_line_size_need_not_be_a_line(cliques_through_zero):
+    # MuConfig refuses m = 1, so the six slope lines of F_7^2 are built by
+    # hand: the vertex (a, b) is a + 7 b, and its direction is b / a.  Two
+    # vertices are adjacent iff they differ in both coordinates, so a
+    # 7-clique through 0 is the graph of a permutation of F_7 fixing 0:
+    # 6! of them, of which only the 6 lines b = mu a are lines.  Here
+    # p^m = 7 <= 25 = bruck_bound(6), and the bound's hypothesis fails.
+    p = 7
+    lines = [frozenset(a + (mu * a % p) * p for a in range(p)) for mu in range(1, p)]
+    s = digraphs.ConnectionSet(sorted(set().union(*lines) - {0}), 1, p)
+    found = cliques_through_zero(s, p)
+    assert len(found) == 720 and all(len(c) == p for c in found)
+    assert set(lines) < set(found)
+    assert p <= bruck_bound(6)

@@ -19,7 +19,7 @@ from orbicert.crossratio import (
     projective_line,
     verify_table1,
 )
-from orbicert.errors import DegenerateQuad, ParameterTooLarge
+from orbicert.errors import DegenerateQuad, ParameterTooLarge, TableViolation
 from orbicert.fields import INFINITY
 from orbicert.matrices import Matrix
 
@@ -84,14 +84,27 @@ def test_verify_table1_small():
     assert out["status"] == "pass"
 
 
-def test_verify_table1_refuses_a_table_over_the_vertex_limit(monkeypatch):
-    # 102 * 101 * 100 * 99 quadruples: refused before one is built
-    def no_quads(*args):
-        raise AssertionError("quadruples built")
+@pytest.mark.parametrize("p", [5, 7, 11])
+def test_the_frame_verdict_is_the_all_quadruple_verdict(monkeypatch, p, table1_all_quadruples):
+    count = table1_all_quadruples(p)
+    assert verify_table1(p)["quads_checked"] == count == (p + 1) * p * (p - 1) * (p - 2)
+    # one wrong row: 1/r in place of 1 - r for the transposition of Q and R
+    rows = {**PERMUTATION_ROWS, (0, 2, 1, 3): "1/r"}
+    monkeypatch.setattr(crossratio, "PERMUTATION_ROWS", rows)
+    for check in (verify_table1, table1_all_quadruples):
+        with pytest.raises(TableViolation) as err:
+            check(p)
+        assert err.value.sigma == (0, 2, 1, 3)
 
-    monkeypatch.setattr(crossratio.itertools, "permutations", no_quads)
-    with pytest.raises(ParameterTooLarge, match="quadruples"):
-        verify_table1(101)
+
+def test_verify_table1_refuses_a_prime_over_the_scan_ceiling(monkeypatch):
+    # 10007 is the first prime above 10^4: refused before the line is built
+    def no_line(p):
+        raise AssertionError("projective line built")
+
+    monkeypatch.setattr(crossratio, "projective_line", no_line)
+    with pytest.raises(ParameterTooLarge, match="10007"):
+        verify_table1(10007)
 
 
 def test_fractional_action_and_invariance():
