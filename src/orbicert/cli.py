@@ -21,9 +21,14 @@ Wire formats used in reports and by the library:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import dataclass
+
+# Set before numpy loads.  The arithmetic is integer numpy, which never
+# calls BLAS, so its idle thread pool would only spin.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .certify import (
     Certificate,
@@ -257,7 +262,10 @@ def parse_config(argv) -> tuple[RunConfig, str | None]:
             lemma_name = args.name
     mus = None
     if getattr(args, "mu", None):
-        mus = tuple(int(v) for v in args.mu.split(","))
+        try:
+            mus = tuple(int(v) for v in args.mu.split(","))
+        except ValueError:
+            raise InvalidConfig(f"--mu: not a list of integers: {args.mu!r}") from None
         if args.z is not None and args.z != len(mus):
             raise InvalidConfig("--z disagrees with the number of --mu slopes")
         if len(mus) not in (4, 6):

@@ -41,7 +41,14 @@ import numpy as np
 from .digraphs import ConnectionSet
 from .errors import DegenerateConfig, IndexOutOfRange, LemmaViolation
 from .fields import fp_inv
-from .matrices import Tensor, decode_array, direction_matrix, encode_array, num_vertices
+from .matrices import (
+    Tensor,
+    decode_array,
+    direction_matrix,
+    encode_array,
+    num_vertices,
+    vertex_table_size,
+)
 
 DEFAULT_SEED = 1729
 
@@ -231,9 +238,10 @@ def verify_clique_axioms(cfg: MuConfig, seed: int = DEFAULT_SEED) -> dict:
     is S = the union of the kernels minus 0; a kernel, a subgroup inside
     S + 0, is a clique.  The S-based check keeps the n-entry mask of
     ``ConnectionSet``: the identity E_i' Pi_i = 0 would replace it, but
-    the mask's ``vertex_table_size`` gate is what bounds m and p here.
-    Without it a huge m would build 2m x 2m matrices of any size, and p
-    near 2^31 would overflow the int64 sums in ``pis[k] @ E``.
+    the mask's ``vertex_table_size`` gate is what bounds m and p here, so
+    it runs first, before the blocks of p^m rows are built.  Without it a
+    huge m would build 2m x 2m matrices of any size, and p near 2^31
+    would overflow the int64 sums in ``pis[k] @ E``.
 
     Census of the maximal cliques of size >= p^m, by Bruck's bound (R. H.
     Bruck, "Finite nets. II. Uniqueness and imbedding", Pacific J. Math. 13,
@@ -259,7 +267,7 @@ def verify_clique_axioms(cfg: MuConfig, seed: int = DEFAULT_SEED) -> dict:
     p, m, z = cfg.p, cfg.m, cfg.z
     if p <= z:
         raise DegenerateConfig(f"rigidity geometry needs p > z, got p={p}, z={z}")
-    n, qm = num_vertices(m, p), p**m
+    n, qm = vertex_table_size(m, p), p**m
     pis = {i: pi_matrix(cfg, i) for i in cfg.index_set}
     checks: dict[str, dict] = {}
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -201,15 +202,17 @@ def canonical_lambda(lam: int, p: int) -> int:
     return min(lam, p - lam, li, p - li)
 
 
-def lambda_classes(p: int) -> dict[int, frozenset[int]]:
+@lru_cache(maxsize=64)
+def lambda_classes(p: int) -> MappingProxyType[int, frozenset[int]]:
     """Partition of the nonzero residues into {+-lam, +-lam^-1} classes.
 
-    Keys are the canonical representatives, in increasing order.
+    Keys are the canonical representatives, in increasing order.  The
+    mapping is cached and shared, so it is read-only.
     """
     classes: dict[int, set[int]] = {}
     for lam in range(1, p):
         classes.setdefault(canonical_lambda(lam, p), set()).add(lam)
-    return {k: frozenset(classes[k]) for k in sorted(classes)}
+    return MappingProxyType({k: frozenset(classes[k]) for k in sorted(classes)})
 
 
 def rank_of(m: int, p: int) -> int:

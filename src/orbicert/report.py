@@ -11,9 +11,8 @@ from __future__ import annotations
 import hashlib
 import json
 
+from . import __version__ as TOOL_VERSION
 from .certify import Certificate
-
-TOOL_VERSION = "0.1.0"
 
 
 def canonical_json(value) -> str:

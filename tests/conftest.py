@@ -54,7 +54,9 @@ def enumerate_size_cliques(s, target):
 
     The reference for ``cliques_through_zero``: the same pivoting
     branch-and-bound, but over big-int adjacency bitsets of all p^(2m)
-    vertices, with no translation argument.  Desk scale only.
+    vertices, with no translation argument.  Desk scale only.  A branch
+    that passes the |R| + |P| test is also bounded by a greedy colouring
+    of P, as in Tomita's MCQ: a clique in P takes one vertex per colour.
     """
     n = num_vertices(s.m, s.p)
     coords = all_coords(s.m, s.p)
@@ -68,8 +70,24 @@ def enumerate_size_cliques(s, target):
 
     found = []
 
+    def colours_reach(p_bits, need):
+        """True iff a greedy colouring of P takes at least ``need`` colours."""
+        colours = 0
+        while p_bits:
+            colours += 1
+            if colours >= need:
+                return True
+            free = p_bits
+            while free:
+                low = free & -free
+                p_bits &= ~low
+                free &= ~adj[low.bit_length() - 1] & ~low
+        return colours >= need
+
     def expand(r, p_bits, x_bits):
         if len(r) + p_bits.bit_count() < target:
+            return
+        if not colours_reach(p_bits, target - len(r)):
             return
         if p_bits == 0 and x_bits == 0:
             if len(r) >= target:

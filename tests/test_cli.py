@@ -1,5 +1,7 @@
 """Command-line surface: dispatch, exit codes, deterministic JSON."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,11 +9,26 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import orbicert.cliques as cliques
 from orbicert import cli
 from orbicert.cli import main
 from orbicert.errors import CertificationFailed
+
+
+LAYERS = (
+    "fields",
+    "matrices",
+    "groups",
+    "digraphs",
+    "cliques",
+    "crossratio",
+    "certify",
+    "report",
+    "cli",
+)
 
 
 def run_cli(capsys, *argv):
@@ -97,6 +114,7 @@ def test_invalid_config_exit_2(capsys):
         ("verify", "cliques", "--p", "7", "--mu", "1,1,3,4"),
         ("verify", "two-closed", "--p", "11"),
         ("scan", "--max-prime", "4"),
+        ("verify", "cliques", "--p", "7", "--mu", "1,x,3,4"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -116,6 +134,14 @@ def test_cross_ratio_table_over_the_scan_ceiling_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "10007" in err and err.count("\n") == 1
+
+
+def test_cliques_over_the_vertex_limit_exit_1_before_allocating(capsys):
+    argv = ("verify", "cliques", "--p", "7", "--mu", "1,2,3,4", "--m", "40")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "refused" in err and err.count("\n") == 1
 
 
 def test_rank_of_a_composite_modulus_is_not_verified(capsys):
@@ -138,6 +164,29 @@ def test_the_hamming_lemma_leaves_numpy_ma_unimported():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert run.stdout.splitlines()[-1] == "False"
+
+
+def test_the_cli_runs_in_one_thread_and_the_package_loads_no_numpy():
+    # numpy starts its BLAS pool when it loads, so the cli's pin works only
+    # if nothing imported numpy first; a host's own setting is overridden
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import os, sys; import orbicert; print('numpy' in sys.modules); "
+        "import orbicert.cli; print(os.environ['OPENBLAS_NUM_THREADS']); "
+        f"print(all('orbicert.' + layer in sys.modules for layer in {LAYERS!r})); "
+        "task = '/proc/self/task'; print(len(os.listdir(task)) if os.path.isdir(task) else '')"
+    )
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"}
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    numpy_loaded, pin, layers_loaded, threads = run.stdout.splitlines()
+    assert numpy_loaded == "False"
+    assert pin == "1"
+    assert layers_loaded == "True"  # the benchmark's tracer reads every layer module
+    if not threads:
+        pytest.skip("no /proc/self/task to count threads")
+    assert threads == "1"
 
 
 def test_certification_error_exit_1(capsys, monkeypatch):
@@ -250,3 +299,72 @@ def test_pinned_hashes(capsys, command, expected):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert json.loads(out)["content_hash"] == expected
+
+
+# --- fuzzed argv: every subcommand and lemma, valid and invalid values
+
+SUBCOMMANDS = (
+    ("rank",),
+    ("suborbits",),
+    ("scan",),
+    *(
+        ("verify", name)
+        for name in (
+            "two-closed",
+            "theorem-q5",
+            "theorem-q7",
+            "theorem-q13",
+            "q17",
+            "cross-ratio-table",
+            "cliques",
+        )
+    ),
+    *(("verify", "lemma", name) for name in (*sorted(cli._lemma_registry()), "no-such-lemma")),
+)
+# p near 2^31 is left out: `rank` builds p - 1 classes, hours of work
+NOT_ODD_PRIMES = (-7, 0, 1, 2, 4, 9)
+MODULI = (*NOT_ODD_PRIMES, 3, 5, 7, 11, 13, 10007)
+SLOPES = ("1,2,3,4", "2,3,4,5", "1,2,3,4,5,6", "1,1,3,4", "1,2,3", "0,5,10,15", "-1,2,3,4", "1,x")
+
+
+@st.composite
+def argvs(draw):
+    """An argv, each flag given or not, and its --p (None if left out)."""
+    argv = list(draw(st.sampled_from(SUBCOMMANDS)))
+    values = {
+        "--p": st.sampled_from(MODULI),
+        "--m": st.integers(-1, 3),
+        "--mu": st.sampled_from(SLOPES),
+        "--z": st.sampled_from((0, 4, 6)),
+        "--max-prime": st.sampled_from(MODULI),
+        "--format": st.sampled_from(("text", "json")),
+    }
+    given = {flag: draw(values[flag]) for flag in values if draw(st.booleans())}
+    argv += [f"{flag}={value}" for flag, value in given.items()]  # "--mu=-1,..." is a value
+    return argv, given.get("--p")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argvs())
+@example((["rank", "--p=13"], 13))
+@example((["suborbits", "--p=7", "--format=json"], 7))
+@example((["scan", "--max-prime=13"], None))
+@example((["verify", "cliques", "--p=7", "--mu=2,3,4,5", "--z=4"], 7))
+@example((["verify", "two-closed", "--p=5"], 5))
+@example((["verify", "cross-ratio-table", "--p=11"], 11))
+@example((["verify", "lemma", "hamming-i", "--p=13", "--m=3"], 13))
+def test_fuzzed_argv_exits_0_1_or_2_and_never_verifies_a_bad_modulus(case):
+    argv, p = case
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # any exception fails the test
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        assert out and err == "", argv
+    else:
+        assert err.startswith(("error:", "FAILED:")), argv
+    if code == 2:
+        assert out == "" and err.count("\n") == 1, argv
+    if p in NOT_ODD_PRIMES:
+        assert code == 2, argv

@@ -21,7 +21,7 @@ from orbicert.cliques import (
     tensor_from_projections,
     verify_clique_axioms,
 )
-from orbicert.errors import DegenerateConfig, IndexOutOfRange, LemmaViolation
+from orbicert.errors import DegenerateConfig, IndexOutOfRange, LemmaViolation, ParameterTooLarge
 from orbicert.fields import fp_inv
 from orbicert.matrices import Tensor, all_coords, encode_array, num_vertices
 
@@ -267,6 +267,17 @@ def test_the_verifier_builds_no_vertex_table(monkeypatch, cfg):
     monkeypatch.setattr(digraphs, "all_coords", refuse)
     out = verify_clique_axioms(cfg)
     assert all(c["status"] == "pass" for c in out["checks"].values())
+
+
+def test_the_vertex_limit_refuses_before_a_block_is_built(monkeypatch):
+    # 7^40 rows per block: np.arange would fail, or at a mid-size m allocate
+    # gigabytes, if the mask's gate ran only when the mask is built
+    def refuse(cfg, i):
+        raise AssertionError("direction block built")
+
+    monkeypatch.setattr(cliques, "_block", refuse)
+    with pytest.raises(ParameterTooLarge):
+        verify_clique_axioms(MuConfig(z=4, mus=(1, 2, 3, 4), m=40, p=7))
 
 
 def test_ell_clique_refuses_a_representative_outside_the_vertices():
