@@ -253,6 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv) -> tuple[RunConfig, str | None]:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # a slope list such as -1,2,3,4 starts with "-", which argparse reads as
+    # a flag unless it is joined to its option
+    for i in range(len(argv) - 1):
+        if argv[i] == "--mu":
+            argv[i : i + 2] = [f"--mu={argv[i + 1]}"]
+            break
     args = build_parser().parse_args(argv)
     command = args.command
     lemma_name = None

@@ -43,7 +43,6 @@ from .errors import DegenerateConfig, IndexOutOfRange, LemmaViolation
 from .fields import fp_inv
 from .matrices import (
     Tensor,
-    decode_array,
     direction_matrix,
     encode_array,
     num_vertices,
@@ -202,7 +201,7 @@ def ell_clique(clique: CliqueId, cfg: MuConfig) -> frozenset[int]:
     n = num_vertices(cfg.m, cfg.p)
     if not 0 <= clique.rep < n:
         raise IndexOutOfRange(f"representative {clique.rep} outside 0..{n - 1}")
-    rep = decode_array(clique.rep, cfg.m, cfg.p).reshape(2, cfg.m)
+    rep = Tensor.from_index(clique.rep, cfg.m, cfg.p).coords.array
     coset = rep + _block(cfg, cfg.partner(clique.i))
     return frozenset(encode_array(coset, cfg.p).tolist())
 
@@ -313,7 +312,8 @@ def verify_clique_axioms(cfg: MuConfig, seed: int = DEFAULT_SEED) -> dict:
     s = delta_connection_set(cfg)
     kernels = [encode_array(_block(cfg, cfg.partner(i)), p) for i in cfg.index_set]
     union = np.concatenate([kernel[1:] for kernel in kernels])
-    vanish = np.any([((s.digits() @ pi) % p == 0).all(axis=1) for pi in pis.values()], axis=0)
+    digits = s.digits()
+    vanish = np.any([((pi.T @ digits) % p == 0).all(axis=0) for pi in pis.values()], axis=0)
     bad = np.concatenate([union[~s.mask[union]], s.members[~vanish]])
     if bad.size:
         raise LemmaViolation("adjacency-shared-projection", {"x": int(bad.min()), "y": 0})

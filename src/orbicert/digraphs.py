@@ -14,8 +14,6 @@ and on the members of S.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import BadDecomposition, EmptyUnion, IndexOutOfRange
@@ -23,10 +21,12 @@ from .crossratio import homogeneous
 from .fields import INFINITY, fp_inv
 from .matrices import (
     Matrix,
-    all_coords,
-    decode_array,
+    decode_index,
+    decode_planes,
+    digit_planes,
     direction_matrix,
     encode_array,
+    encode_coords,
     linear_vertex_map,
     mat_inv,
     num_vertices,
@@ -53,7 +53,8 @@ class ConnectionSet:
         members = np.flatnonzero(mask)
         if mask[0]:
             raise ValueError("connection set must not contain 0")
-        if not mask[_negated(decode_array(members, m, p), p)].all():
+        digits = decode_planes(members, m, p)
+        if not mask[_encode_difference(np.zeros_like(digits), digits, p)].all():
             raise ValueError("connection set must be negation-closed")
         mask.flags.writeable = False
         members.flags.writeable = False
@@ -73,17 +74,12 @@ class ConnectionSet:
         return bool(self.mask[_vertex(idx, self.mask.size)])
 
     def digits(self) -> np.ndarray:
-        """The (|S|, 2m) row-major digit rows of the members, a fresh array."""
-        return decode_array(self.members, self.m, self.p)
+        """The (2m, |S|) uint16 digit planes of the members, a fresh array."""
+        return decode_planes(self.members, self.m, self.p)
 
     def __repr__(self):
         lab = sorted(self.labels) if self.labels else "custom"
         return f"ConnectionSet(m={self.m}, p={self.p}, |S|={len(self)}, labels={lab})"
-
-
-def _negated(rows: np.ndarray, p: int) -> np.ndarray:
-    """Vertex indices of -x for (k, 2m) row-major digit rows x."""
-    return ((p - rows) % p) @ p ** np.arange(rows.shape[1], dtype=np.int64)
 
 
 def _vertex(idx, n: int) -> int:
@@ -98,44 +94,50 @@ def _vertex(idx, n: int) -> int:
 # digit planes
 #
 # The exhaustive arc and additivity checks read the digits of the vertices
-# as uint16 planes, one row per digit, and encode the difference of two
-# vertices by Horner's rule: no % or matmul over the vertices.
+# from the uint16 ``digit_planes`` table, one row per digit, and encode the
+# difference of two vertices by Horner's rule: no % or matmul over the
+# vertices.
 
 
-@lru_cache(maxsize=8)
-def _digit_planes(m: int, p: int) -> np.ndarray:
-    """Digit k of every vertex as row k of a (2m, p^(2m)) uint16 array.
-
-    ``all_coords`` refuses p^(2m) > 10^7, so p < 2^12 and every digit plus p
-    fits in 16 bits.
-    """
-    planes = all_coords(m, p).reshape(-1, 2 * m).T.astype(np.uint16, order="C")
-    planes.flags.writeable = False
-    return planes
-
-
-def _encode_difference(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
-    """Vertex indices of u - v for uint16 digit planes of shape (2m, ...).
+def _horner_difference(pairs, p: int) -> np.ndarray:
+    """int32 vertex indices of u - v from (u, v) pairs of uint16 digit planes,
+    last digit first, one pair at a time.
 
     Each digit difference is reduced mod p without a division: a negative
     u - v wraps to u - v + 2^16, and d + p then wraps to u - v + p, the
     smaller of the two; a non-negative d is itself the smaller.  The
-    reduced planes are encoded by Horner's rule.
+    reduced digits are folded into the index by Horner's rule.
     """
-    d = u - v
-    np.minimum(d, d + p, out=d)
-    idx = d[-1].astype(np.int32)
-    for plane in d[-2::-1]:
-        idx *= p
-        idx += plane
+    idx = None
+    for u, v in pairs:
+        d = np.subtract(u, v)
+        np.minimum(d, d + p, out=d)
+        if idx is None:
+            idx = d.astype(np.int32)
+        else:
+            idx *= p
+            idx += d
     return idx
+
+
+def _encode_difference(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
+    """Vertex indices of u - v for uint16 digit planes of shape (2m, ...),
+    broadcast together."""
+    return _horner_difference(zip(u[::-1], v[::-1]), p)
+
+
+def _gathered_difference(planes: np.ndarray, i, j, p: int) -> np.ndarray:
+    """Vertex indices of x - y for vertex index arrays i of x and j of y,
+    broadcast together, gathered from the digit table one plane at a time:
+    no gather is larger than the broadcast shape."""
+    return _horner_difference(((plane[i], plane[j]) for plane in planes[::-1]), p)
 
 
 def difference_index(x: int, y: int, m: int, p: int) -> int:
     """Vertex index of x - y; raises IndexOutOfRange outside the vertices."""
     n = num_vertices(m, p)
-    u, v = decode_array([_vertex(x, n), _vertex(y, n)], m, p).reshape(2, 2, m)
-    return int(encode_array(u - v, p))
+    (u1, u2), (v1, v2) = decode_index(_vertex(x, n), m, p), decode_index(_vertex(y, n), m, p)
+    return encode_coords([a - b for a, b in zip(u1 + u2, v1 + v2)], p)
 
 
 def orbital_union_set(labels, m: int, p: int) -> ConnectionSet:
@@ -172,19 +174,23 @@ def is_connected(s: ConnectionSet) -> bool:
     """Cay(T, S) is connected iff the digit rows of S span T over GF(p).
 
     T is elementary abelian, so the vertices reachable from 0 are the
-    GF(p)-span of S.  Column elimination on the |S| x 2m digit matrix: a
-    row with a nonzero entry in the column is scaled to a pivot of 1 with
-    ``fp_inv`` and subtracted from every row, itself included, which zeroes
-    the column.  The rank is 2m iff every column finds such a row.
+    GF(p)-span of S.  Column elimination on the |S| x 2m digit matrix, held
+    as its 2m int32 columns (the members' digit planes): a member with a
+    nonzero entry in the column is scaled to a pivot of 1 with ``fp_inv``
+    and subtracted from every member, itself included, which zeroes the
+    column.  The rank is 2m iff every column finds such a member.
     """
     p = s.p
-    rows = s.digits()
-    for col in range(rows.shape[1]):
-        nonzero = np.flatnonzero(rows[:, col])
+    cols = s.digits().astype(np.int32)
+    for col in range(cols.shape[0]):
+        nonzero = np.flatnonzero(cols[col])
         if nonzero.size == 0:
             return False
-        pivot = rows[nonzero[0]] * fp_inv(int(rows[nonzero[0], col]), p) % p
-        rows = (rows - np.outer(rows[:, col], pivot)) % p
+        pivot = cols[:, nonzero[0]] * fp_inv(int(cols[col, nonzero[0]]), p) % p
+        factor = cols[col].copy()
+        for k in np.flatnonzero(pivot):
+            cols[k] -= factor * pivot[k]
+            cols[k] %= p
     return True
 
 
@@ -205,18 +211,24 @@ def label_transitions(a: Matrix, b: Matrix, m: int, p: int) -> np.ndarray:
 
 
 class VertexPermutation:
-    """A permutation of the p^(2m) vertices, stored as an index array."""
+    """A permutation of the p^(2m) vertices, stored as an int32 index array
+    (the vertex gate keeps p^(2m) below 2^31)."""
 
     __slots__ = ("m", "p", "mapping")
 
     def __init__(self, mapping, m: int, p: int):
-        arr = np.asarray(mapping, dtype=np.int64)
+        arr = np.asarray(mapping)
         n = num_vertices(m, p)
         if arr.shape != (n,):
             raise ValueError("mapping has wrong length")
-        if not np.array_equal(np.sort(arr), np.arange(n)):
+        # checked before the cast and the scatter, which would wrap silently
+        if arr.min() < 0 or arr.max() >= n:
             raise ValueError("mapping is not a permutation")
-        arr = arr.copy()
+        arr = arr.astype(np.int32)
+        seen = np.zeros(n, dtype=bool)
+        seen[arr] = True
+        if not seen.all():
+            raise ValueError("mapping is not a permutation")
         arr.flags.writeable = False
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "p", p)
@@ -251,24 +263,24 @@ class VertexPermutation:
           phi(x) - phi(x + t) in S, the negation of the wanted difference.
           That is why every t is checked, not one of each pair +-t.
 
-        x + t is encoded as x - (-t) from the uint16 digit planes, so no
-        vertex is re-encoded through the codec.  The support runs in blocks
-        of floor(n / |S|) vertices, at most n (x, t) pairs at a time.
+        As S = -S, the vertices x + t, t in S, are the x - t, encoded from
+        the uint16 digit table, so no vertex is re-encoded through the
+        codec.  The support runs in blocks of floor(n / |S|) vertices, at
+        most n (x, t) pairs at a time, and each difference gathers one
+        digit plane at a time: no gather holds more than n digits, a 2m-th
+        of the table.
         """
         if (s.m, s.p) != (self.m, self.p):
             raise ValueError("permutation and connection set live on different spaces")
         m, p = s.m, s.p
-        planes = _digit_planes(m, p)
+        planes = digit_planes(m, p)
         phi = self.mapping
-        support = np.flatnonzero(phi != np.arange(phi.size))
-        minus_t = ((p - planes[:, s.members]) % p)[:, None, :]
+        support = np.flatnonzero(phi != np.arange(phi.size, dtype=np.int32))
         block = phi.size // len(s)
         for start in range(0, support.size, block):
             x = support[start : start + block]
-            ahead = _encode_difference(planes[:, x][:, :, None], minus_t, p)
-            diff = _encode_difference(
-                planes[:, phi[ahead]], planes[:, phi[x]][:, :, None], p
-            )
+            ahead = _gathered_difference(planes, x[:, None], s.members, p)
+            diff = _gathered_difference(planes, phi[ahead], phi[x][:, None], p)
             if not s.mask[diff].all():
                 return False
         return True
@@ -280,20 +292,26 @@ class VertexPermutation:
         additive against every radix basis vector e_k = p^k, so scanning
         pairs (x, e_k), k outer and x in index order, is a complete affinity
         test.  Each pair compares phi(x + e_k) - phi(x) with
-        phi(e_k) - phi(0), the value at x = 0, on the digit planes.  The
-        index of x + e_k is x + p^k, less p^(k+1) where digit k of x is
-        p - 1 and wraps to 0.
+        phi(e_k) - phi(0), the value at x = 0, one digit plane of the image
+        at a time.  The index of x + e_k is x + p^k, less p^(k+1) where
+        digit k of x is p - 1 and wraps to 0.
         """
         p = self.p
-        planes = _digit_planes(self.m, p)
-        idx = np.arange(self.mapping.size)
+        planes = digit_planes(self.m, p)
+        n = self.mapping.size
         image = planes[:, self.mapping]
         for k in range(2 * self.m):
-            ahead = idx + p**k - p ** (k + 1) * (planes[k] == p - 1)
-            step = _encode_difference(image[:, ahead], image, p)
-            bad = np.flatnonzero(step != step[0])
-            if bad.size:
-                return int(bad[0]), p**k
+            ahead = np.arange(p**k, n + p**k, dtype=np.int32)
+            np.subtract(ahead, p ** (k + 1), out=ahead, where=planes[k] == p - 1)
+            bad = np.zeros(n, dtype=bool)
+            for plane in image:
+                step = plane[ahead]
+                step -= plane
+                np.minimum(step, step + p, out=step)
+                bad |= step != step[0]
+            first = np.flatnonzero(bad)
+            if first.size:
+                return int(first[0]), p**k
         return None
 
 
@@ -348,8 +366,8 @@ def hamming_check(s: ConnectionSet, d1, d2) -> bool:
     g, h = _splitting(d1, d2, m, p)
     if ((h @ g - np.eye(2 * m, dtype=np.int64)) % p).any():
         return False
-    nonzero = (s.digits() @ h % p).reshape(len(s), 2, m).any(axis=2)
-    if not (nonzero[:, 0] ^ nonzero[:, 1]).all() or len(s) != 2 * (p**m - 1):
+    nonzero = (h.T @ s.digits() % p).reshape(2, m, len(s)).any(axis=1)
+    if not (nonzero[0] ^ nonzero[1]).all() or len(s) != 2 * (p**m - 1):
         raise BadDecomposition("S is not the union of the two direction blocks")
     return True
 
@@ -372,6 +390,6 @@ def hamming_witness(d1, d2, m: int, p: int) -> VertexPermutation:
     w = np.arange(p**m)[:, None] // p ** np.arange(m) % p
     side = w @ g[m:]  # the digit rows of v2 (x) b, b in index order
     one, two = (encode_array((side + c * g[0]).reshape(-1, 2, m), p) for c in (1, 2))
-    mapping = np.arange(n)
+    mapping = np.arange(n, dtype=np.int32)
     mapping[one], mapping[two] = two, one
     return VertexPermutation(mapping, m, p)

@@ -16,11 +16,11 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import DimensionMismatch, ParameterTooLarge, ZeroLambda
-from .fields import INFINITY, fp_inv
+from .fields import INFINITY, MAX_PRIME, fp_inv
 from .matrices import (
     Matrix,
     Tensor,
-    all_coords,
+    digit_planes,
     mat_inv,
     mat_mul,
     mat_rank,
@@ -216,7 +216,13 @@ def lambda_classes(p: int) -> MappingProxyType[int, frozenset[int]]:
 
 
 def rank_of(m: int, p: int) -> int:
-    """Orbit count of the point stabilizer: zero + A + B + lambda classes."""
+    """Orbit count of the point stabilizer: zero + A + B + lambda classes.
+
+    The classes are built in O(p) time and space, so p above ``MAX_PRIME``
+    is refused before any is built.
+    """
+    if p > MAX_PRIME:
+        raise ParameterTooLarge(f"rank at p = {p} refused (limit p <= {MAX_PRIME})")
     return 3 + len(lambda_classes(p))
 
 
@@ -250,37 +256,33 @@ def classify_all(m: int, p: int) -> tuple[np.ndarray, tuple[str, ...]]:
         raise ParameterTooLarge(f"classification of {n} vertices refused")
     tokens = ("zero",) + nontrivial_labels(p)
     code_of = {t: i for i, t in enumerate(tokens)}
-    coords = all_coords(m, p)
-    r1, r2 = coords[:, 0, :], coords[:, 1, :]
-    codes = np.empty(n, dtype=np.int8)
-
-    rank2 = np.zeros(n, dtype=bool)
+    # a simple x is labelled by its slope r2[j] / r1[j] at the first nonzero
+    # column j of row 1: slope 0, or row 1 = 0 (slope code 0 * p + r2[j]),
+    # is a direction of A, any other slope names its lambda class
+    inv = np.array([0] + [fp_inv(v, p) for v in range(1, p)], dtype=np.int64)
+    slope_code = np.array(
+        [code_of["A"]] + [code_of[f"L{canonical_lambda(v, p)}"] for v in range(1, p)],
+        dtype=np.int8,
+    )
+    pair_code = slope_code[inv[:, None] * np.arange(p) % p].ravel()  # [r1 * p + r2]
+    planes = digit_planes(m, p)
+    r1, r2 = planes[:m], planes[m:]
+    lead, pair = np.zeros(n, dtype=np.int32), np.empty(n, dtype=np.int32)
+    for j in range(m - 1, -1, -1):
+        np.multiply(r1[j], p, out=pair, dtype=np.int32)
+        pair += r2[j]
+        np.copyto(lead, pair, where=r1[j] != 0)
+    codes = pair_code[lead]
+    # rank 2 iff some 2 x 2 minor r1[i] r2[j] - r1[j] r2[i] is nonzero mod p
+    ad, bc = np.empty(n, dtype=np.int32), np.empty(n, dtype=np.int32)
     for i in range(m):
         for j in range(i + 1, m):
-            rank2 |= (r1[:, i] * r2[:, j] - r1[:, j] * r2[:, i]) % p != 0
-    zero = ~np.logical_or(r1.any(axis=1), r2.any(axis=1))
-
-    codes[zero] = code_of["zero"]
-    codes[rank2] = code_of["B"]
-
-    simple = ~zero & ~rank2
-    inv_table = np.array([0] + [fp_inv(v, p) for v in range(1, p)], dtype=np.int64)
-    canon_table = np.array(
-        [0] + [canonical_lambda(v, p) for v in range(1, p)], dtype=np.int64
-    )
-    r1_nonzero = r1.any(axis=1)
-    axis = simple & (~r1_nonzero)  # direction e2
-    lead = np.argmax(r1 != 0, axis=1)
-    rows = np.arange(n)
-    slope = r2[rows, lead] * inv_table[r1[rows, lead]] % p
-    axis |= simple & r1_nonzero & (slope == 0)  # direction e1
-    codes[axis] = code_of["A"]
-    lam = simple & ~axis
-    lam_idx = np.nonzero(lam)[0]
-    canon = canon_table[slope[lam_idx]]
-    for k in lambda_classes(p):
-        sel = lam_idx[canon == k]
-        codes[sel] = code_of[f"L{k}"]
+            np.multiply(r1[i], r2[j], out=ad, dtype=np.int32)
+            np.multiply(r1[j], r2[i], out=bc, dtype=np.int32)
+            ad -= bc
+            ad %= p
+            codes[ad != 0] = code_of["B"]
+    codes[0] = code_of["zero"]
     codes.flags.writeable = False
     return codes, tokens
 

@@ -298,21 +298,29 @@ def vertex_table_size(m: int, p: int) -> int:
     return n
 
 
-def decode_array(idx, m: int, p: int) -> np.ndarray:
-    """Row-major digit rows, shape (..., 2m), of an array of vertex indices."""
-    rest = np.array(idx, dtype=np.int64)
-    digits = np.empty(rest.shape + (2 * m,), dtype=np.int64)
+def decode_planes(idx, m: int, p: int) -> np.ndarray:
+    """Digit k of each vertex index as row k of a (2m, ...) uint16 array.
+
+    Indices are divided on an int32 copy: the vertex gate keeps every
+    index below 10^7 < 2^31, and p below 2^12, so every digit plus p fits
+    in 16 bits.
+    """
+    rest = np.array(idx, dtype=np.int32)
+    planes = np.empty((2 * m,) + rest.shape, dtype=np.uint16)
+    digit = np.empty_like(rest)
     for k in range(2 * m):
-        np.divmod(rest, p, out=(rest, digits[..., k]))
-    return digits
+        np.divmod(rest, p, out=(rest, digit))
+        planes[k] = digit
+    return planes
 
 
-@lru_cache(maxsize=32)
-def all_coords(m: int, p: int) -> np.ndarray:
-    """Coordinates of every vertex as an (n, 2, m) array, index order."""
-    out = decode_array(np.arange(vertex_table_size(m, p)), m, p).reshape(-1, 2, m)
-    out.flags.writeable = False
-    return out
+@lru_cache(maxsize=8)
+def digit_planes(m: int, p: int) -> np.ndarray:
+    """The one digit table: digit k of every vertex as row k of a read-only
+    (2m, p^(2m)) uint16 array, index order."""
+    planes = decode_planes(np.arange(vertex_table_size(m, p), dtype=np.int32), m, p)
+    planes.flags.writeable = False
+    return planes
 
 
 def encode_array(coords: np.ndarray, p: int) -> np.ndarray:
@@ -464,16 +472,30 @@ def direction_matrix(v, m: int) -> np.ndarray:
     return np.kron([[int(v[0]), int(v[1])]], np.eye(m, dtype=np.int64))
 
 
-def product_image(digits: np.ndarray, a: Matrix, b: Matrix, p: int) -> np.ndarray:
-    """Vertex indices of the images of (k, 2m) row-major digit rows under (a, b).
+def product_image(planes: np.ndarray, a: Matrix, b: Matrix, p: int) -> np.ndarray:
+    """int32 vertex indices of the images of (2m, k) digit planes under (a, b).
 
     Row-major flattening turns the grid map X -> a^T X b into
-    flat -> flat @ kron(a, b), so both factors act in one matmul.
+    flat -> flat @ kron(a, b), so image digit j is the sum over k of
+    plane k times K[k, j], mod p.  Each image digit is summed in int32, one
+    plane at a time (2m (p - 1)^2 < 2^31 under the vertex gate), and folded
+    into the index by Horner's rule, last digit first.
     """
-    img = digits @ np.kron(a.array, b.array)
-    return encode_array(img.reshape(len(img), 2, -1), p)
+    kron = np.kron(a.array, b.array) % p
+    idx = np.zeros(planes.shape[1:], dtype=np.int32)
+    digit = np.empty_like(idx)
+    term = np.empty_like(idx)
+    for j in range(kron.shape[1] - 1, -1, -1):
+        digit.fill(0)
+        for k in np.flatnonzero(kron[:, j]):
+            np.multiply(planes[k], kron[k, j], out=term, dtype=np.int32)
+            digit += term
+        digit %= p
+        idx *= p
+        idx += digit
+    return idx
 
 
 def linear_vertex_map(a: Matrix, b: Matrix, m: int, p: int) -> np.ndarray:
-    """Vertex permutation array of the product action of (a, b)."""
-    return product_image(all_coords(m, p).reshape(-1, 2 * m), a, b, p)
+    """Vertex permutation array (int32) of the product action of (a, b)."""
+    return product_image(digit_planes(m, p), a, b, p)

@@ -8,7 +8,6 @@ hash over the normalized payload ties a report to its inputs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 from . import __version__ as TOOL_VERSION
@@ -35,6 +34,10 @@ def report_payload(certs: list[Certificate], run_config: dict) -> dict:
         "certificates": [c.as_dict(deterministic=True) for c in certs],
         "summary": counts,
     }
+    # hashlib loads OpenSSL (about 4 MB resident): imported here, once the
+    # certificates are built, not with the package
+    import hashlib
+
     body["content_hash"] = hashlib.sha256(canonical_json(body).encode()).hexdigest()
     return body
 

@@ -1,6 +1,7 @@
 """Shared test oracles."""
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -10,12 +11,32 @@ from orbicert.crossratio import apply_formula, cross_ratio, permute_quad, projec
 from orbicert.errors import TableViolation
 from orbicert.groups import LinPart
 from orbicert.matrices import (
-    all_coords,
-    decode_array,
     encode_array,
     num_vertices,
     product_image,
+    vertex_table_size,
 )
+
+
+def decode_array(idx, m: int, p: int) -> np.ndarray:
+    """Row-major digit rows, shape (..., 2m), of an array of vertex indices."""
+    rest = np.array(idx, dtype=np.int64)
+    digits = np.empty(rest.shape + (2 * m,), dtype=np.int64)
+    for k in range(2 * m):
+        np.divmod(rest, p, out=(rest, digits[..., k]))
+    return digits
+
+
+@lru_cache(maxsize=32)
+def all_coords(m: int, p: int) -> np.ndarray:
+    """Coordinates of every vertex as an (n, 2, m) array, index order.
+
+    The int64 oracle for the uint16 ``orbicert.matrices.digit_planes`` and
+    the plane-wise kernels that read them.
+    """
+    out = decode_array(np.arange(vertex_table_size(m, p)), m, p).reshape(-1, 2, m)
+    out.flags.writeable = False
+    return out
 
 
 def preserves_set(lin, s):
@@ -132,7 +153,7 @@ def cliques_through_zero(s, target, base=()):
     """
     p, radix = s.p, s.p ** np.arange(2 * s.m, dtype=np.int64)
     base = np.asarray(base, dtype=np.int64)
-    rows, fixed = s.digits(), decode_array(base, s.m, p)
+    rows, fixed = decode_array(s.members, s.m, p), decode_array(base, s.m, p)
     inner = s.mask[((fixed[:, None] - fixed) % p) @ radix] | np.eye(base.size, dtype=bool)
     if not (s.mask[base].all() and inner.all()):
         return []
@@ -231,3 +252,9 @@ def nonadditive_witness_fixture():
 def preserves_set_fixture():
     """The member-image oracle, as a fixture so any import mode finds it."""
     return preserves_set
+
+
+@pytest.fixture(name="all_coords")
+def all_coords_fixture():
+    """The int64 coordinate table, as a fixture so any import mode finds it."""
+    return all_coords

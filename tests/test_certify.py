@@ -1,6 +1,10 @@
 """Stabilizer scans, theorem drivers, obstruction arithmetic."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,6 +319,24 @@ def test_one_vertex_map_per_linear_witness_matrix(monkeypatch):
     assert cert.status == "verified"
     assert cert.evidence["unions_checked"] == 62
     assert len(calls) == 9
+
+
+def test_the_theorem_q13_driver_peaks_under_80_bytes_per_vertex():
+    # a fresh process, so no table is cached; the int64 coordinate table
+    # alone took 32 bytes per vertex, and its matmul temporaries more
+    src = str(Path(matrices.__file__).resolve().parents[1])
+    code = (
+        "import tracemalloc; from orbicert.certify import certify_not_digraph_group; "
+        "tracemalloc.start(); cert = certify_not_digraph_group(13, 2); "
+        "print(cert.status, tracemalloc.get_traced_memory()[1])"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    status, peak = run.stdout.split()
+    assert status == "verified"
+    assert int(peak) <= 80 * 13**4
 
 
 def test_two_closed_checks_delta_at_every_size(monkeypatch):

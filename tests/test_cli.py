@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orbicert.cliques as cliques
+import orbicert.groups as groups
 from orbicert import cli
 from orbicert.cli import main
 from orbicert.errors import CertificationFailed
@@ -151,6 +152,33 @@ def test_rank_of_a_composite_modulus_is_not_verified(capsys):
     assert "odd prime" in err
 
 
+@pytest.mark.parametrize("p", ["10007", "1000003"])
+def test_rank_over_the_scan_ceiling_exits_1_before_building_a_class(capsys, monkeypatch, p):
+    # the lambda classes take O(p) time and space: 9.9 s and 366 MB at 1000003
+    def refuse(p):
+        raise AssertionError("lambda classes built")
+
+    monkeypatch.setattr(cli, "lambda_classes", refuse)
+    monkeypatch.setattr(groups, "lambda_classes", refuse)
+    code, out, err = run_cli(capsys, "rank", "--p", p)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and p in err and err.count("\n") == 1
+
+
+def test_a_slope_list_starting_with_minus_is_read_as_its_value(capsys):
+    # argparse takes "-1,2,3,4" for a flag unless the cli joins it to --mu
+    argv = ("verify", "cliques", "--p", "7", "--format", "json")
+    spaced = run_cli(capsys, *argv, "--mu", "-1,2,3,4")
+    joined = run_cli(capsys, *argv, "--mu=-1,2,3,4")
+    assert spaced == joined
+    code, out, err = spaced
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["run_config"]["mus"] == [-1, 2, 3, 4]
+    assert report["summary"]["verified"] == 1
+
+
 def test_the_hamming_lemma_leaves_numpy_ma_unimported():
     # np.unique imports numpy.ma on first use, 10-17 ms of a short command
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -168,22 +196,25 @@ def test_the_hamming_lemma_leaves_numpy_ma_unimported():
 
 def test_the_cli_runs_in_one_thread_and_the_package_loads_no_numpy():
     # numpy starts its BLAS pool when it loads, so the cli's pin works only
-    # if nothing imported numpy first; a host's own setting is overridden
+    # if nothing imported numpy first; a host's own setting is overridden.
+    # OpenSSL (_hashlib) is loaded only when a report is hashed.
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         "import os, sys; import orbicert; print('numpy' in sys.modules); "
         "import orbicert.cli; print(os.environ['OPENBLAS_NUM_THREADS']); "
         f"print(all('orbicert.' + layer in sys.modules for layer in {LAYERS!r})); "
+        "print('_hashlib' in sys.modules); "
         "task = '/proc/self/task'; print(len(os.listdir(task)) if os.path.isdir(task) else '')"
     )
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"}
     run = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    numpy_loaded, pin, layers_loaded, threads = run.stdout.splitlines()
+    numpy_loaded, pin, layers_loaded, hashlib_loaded, threads = run.stdout.splitlines()
     assert numpy_loaded == "False"
     assert pin == "1"
     assert layers_loaded == "True"  # the benchmark's tracer reads every layer module
+    assert hashlib_loaded == "False"
     if not threads:
         pytest.skip("no /proc/self/task to count threads")
     assert threads == "1"

@@ -23,7 +23,7 @@ from orbicert.cliques import (
 )
 from orbicert.errors import DegenerateConfig, IndexOutOfRange, LemmaViolation, ParameterTooLarge
 from orbicert.fields import fp_inv
-from orbicert.matrices import Tensor, all_coords, encode_array, num_vertices
+from orbicert.matrices import Tensor, num_vertices
 
 
 CFG5 = MuConfig(z=4, mus=(1, 2, 3, 4), m=2, p=5)
@@ -263,8 +263,8 @@ def test_the_verifier_builds_no_vertex_table(monkeypatch, cfg):
     def refuse(m, p):
         raise AssertionError("vertex table built")
 
-    monkeypatch.setattr(matrices, "all_coords", refuse)
-    monkeypatch.setattr(digraphs, "all_coords", refuse)
+    monkeypatch.setattr(matrices, "digit_planes", refuse)
+    monkeypatch.setattr(digraphs, "digit_planes", refuse)
     out = verify_clique_axioms(cfg)
     assert all(c["status"] == "pass" for c in out["checks"].values())
 
@@ -324,9 +324,9 @@ def test_reconstruction_failure_in_the_second_row_names_a_vertex(monkeypatch):
     assert err.value.counterexample["pair"] == (1, 2)
     x = err.value.counterexample["vertex"]
     assert x in 5 ** np.arange(4)  # a basis vector e_k
-    e = all_coords(2, 5)[x].ravel()
+    r1, r2 = Tensor.from_index(x, 2, 5).coords.array
+    e = np.concatenate([r1, r2])
     a, b = e @ real(CFG5, 1) % 5, e @ real(CFG5, 2) % 5
-    r1, r2 = all_coords(2, 5)[x]
     assert np.array_equal((a + b) % 5, r1) and not np.array_equal((2 * a + b) % 5, r2)
 
 
@@ -354,7 +354,7 @@ def test_a_wrong_relation_coefficient_fails_the_relations(monkeypatch, perturb, 
 def without_pair(members, cfg):
     """(t, -t, S minus the pair) for the first member t of S."""
     t = int(members[0])
-    minus_t = int(encode_array(-all_coords(cfg.m, cfg.p)[t], cfg.p))
+    minus_t = (-Tensor.from_index(t, cfg.m, cfg.p)).index
     return t, minus_t, members[(members != t) & (members != minus_t)]
 
 

@@ -24,12 +24,13 @@ from orbicert.crossratio import homogeneous
 from orbicert.errors import BadDecomposition, EmptyUnion, IndexOutOfRange
 from orbicert.fields import INFINITY
 from orbicert.groups import LinPart, d8_elements, nontrivial_labels, suborbit_indices
-from orbicert.matrices import Matrix, Tensor, all_coords, encode_array, num_vertices
+from orbicert.matrices import Matrix, Tensor, digit_planes, encode_array, num_vertices
 
 
-def negated(idx, m, p):
-    """Vertex indices of -x for the vertices x in ``idx``."""
-    return encode_array(-all_coords(m, p)[idx], p)
+def negated(coords, idx, p):
+    """Vertex indices of -x for the vertices x in ``idx``, read from the
+    coordinate table ``coords``."""
+    return encode_array(-coords[idx], p)
 
 
 def test_connection_set_validation():
@@ -55,9 +56,9 @@ def test_connection_set_refuses_indices_outside_the_vertices():
         ConnectionSet([n - 1, n], m, p)
 
 
-def test_connection_set_members_are_sorted_and_unique():
+def test_connection_set_members_are_sorted_and_unique(all_coords):
     m, p = 2, 5
-    neg = negated(np.arange(num_vertices(m, p)), m, p)
+    neg = negated(all_coords(m, p), np.arange(num_vertices(m, p)), p)
     raw = np.array([7, 3, 7, neg[3], 12, neg[7], neg[12], 3, neg[12]])
     s = ConnectionSet(raw, m, p)
     assert np.array_equal(s.members, np.unique(raw))
@@ -132,10 +133,9 @@ def test_connectivity():
     assert not is_connected(line)
 
 
-def _bfs_is_connected(s: ConnectionSet) -> bool:
+def _bfs_is_connected(s: ConnectionSet, coords) -> bool:
     # reachability of every vertex from 0 along S-steps, the frontier in
     # chunks of ~2 * 10^5 neighbours, stopping once every vertex is reached
-    coords = all_coords(s.m, s.p)
     s_coords = coords[s.members]
     reached = np.zeros(num_vertices(s.m, s.p), dtype=bool)
     reached[0] = True
@@ -155,15 +155,15 @@ def _bfs_is_connected(s: ConnectionSet) -> bool:
     return False
 
 
-def test_all_orbitals_connected_small():
+def test_all_orbitals_connected_small(all_coords):
     # the rank test against the BFS oracle on every orbital
     for m, p in [(2, 5), (2, 7), (3, 3), (3, 5)]:
         for token in nontrivial_labels(p):
             s = orbital_union_set([token], m, p)
-            assert is_connected(s) and _bfs_is_connected(s), (m, p, token)
+            assert is_connected(s) and _bfs_is_connected(s, all_coords(m, p)), (m, p, token)
 
 
-def test_rank_connectivity_matches_the_bfs_on_random_sets():
+def test_rank_connectivity_matches_the_bfs_on_random_sets(all_coords):
     outcomes = set()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -174,11 +174,11 @@ def test_rank_connectivity_matches_the_bfs_on_random_sets():
     def check(mp, picks):
         m, p = mp
         n = num_vertices(m, p)
-        neg = negated(np.arange(n), m, p)
+        neg = negated(all_coords(m, p), np.arange(n), p)
         half = [1 + v % (n - 1) for v in picks]
         s = ConnectionSet(half + [int(neg[v]) for v in half], m, p)
         got = is_connected(s)
-        assert got == _bfs_is_connected(s)
+        assert got == _bfs_is_connected(s, all_coords(m, p))
         outcomes.add(got)
 
     check()
@@ -274,7 +274,7 @@ def test_nonadditive_witness_of_every_hamming_witness_is_the_oracle_pair(
             assert got is not None and got == nonadditive_witness(w), (token, got)
 
 
-def test_nonadditive_witness_matches_the_oracle_on_random_maps(nonadditive_witness):
+def test_nonadditive_witness_matches_the_oracle_on_random_maps(nonadditive_witness, all_coords):
     # random permutations, and affine maps with a few swapped images, whose
     # first failing pair lies deeper in the scan
     m, p = 2, 5
@@ -286,15 +286,16 @@ def test_nonadditive_witness_matches_the_oracle_on_random_maps(nonadditive_witne
     @given(
         base=st.one_of(
             st.permutations(range(n)).map(np.array),
-            st.tuples(_invertible(p), st.integers(0, n - 1)).map(
-                lambda at: _affine(at[0], ident, at[1], m, p)
-            ),
+            st.tuples(_invertible(p), st.integers(0, n - 1)),
         ),
         swaps=st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2),
     )
-    @example(base=_affine(Matrix(((1, 1), (1, -1)), p), ident, 7, m, p), swaps=[])
-    @example(base=_affine(Matrix(((1, 1), (1, -1)), p), ident, 7, m, p), swaps=[(600, 601)])
+    @example(base=(Matrix(((1, 1), (1, -1)), p), 7), swaps=[])
+    @example(base=(Matrix(((1, 1), (1, -1)), p), 7), swaps=[(600, 601)])
     def check(base, swaps):
+        # an (a, c) pair stands for the affine map x -> (a, I) x + c
+        if isinstance(base, tuple):
+            base = _affine(base[0], ident, base[1], all_coords(m, p))
         mapping = base.copy()
         for i, j in swaps:
             mapping[[i, j]] = mapping[[j, i]]
@@ -314,10 +315,11 @@ def _invertible(p: int):
     ).map(lambda rows: Matrix(rows, p)).filter(lambda a: a.is_invertible())
 
 
-def _affine(a, b, c, m, p):
-    """Mapping of x -> (a, b) x + c, for a vertex c."""
-    image = all_coords(m, p)[VertexPermutation.from_linear((a, b), m, p).mapping]
-    return encode_array(image + all_coords(m, p)[c], p)
+def _affine(a, b, c, coords):
+    """Mapping of x -> (a, b) x + c, for a vertex c, on the coordinate table."""
+    m, p = coords.shape[-1], a.p
+    image = coords[VertexPermutation.from_linear((a, b), m, p).mapping]
+    return encode_array(image + coords[c], p)
 
 
 def test_arc_check_agrees_with_preserves_set(preserves_set):
@@ -346,12 +348,12 @@ def test_arc_check_agrees_with_preserves_set(preserves_set):
 
 
 @pytest.mark.parametrize("p, m", [(3, 2), (5, 2), (3, 3)])
-def test_grid_translation_and_horner_match_the_codec(p, m):
+def test_grid_translation_and_horner_match_the_codec(p, m, all_coords):
     # the digit planes and the Horner difference of the arc checks against
     # encode_array
     n = num_vertices(m, p)
     coords = all_coords(m, p)
-    planes = digraphs._digit_planes(m, p)
+    planes = digit_planes(m, p)
     assert np.array_equal(planes.T, coords.reshape(n, 2 * m))
     rng = np.random.default_rng(3)
     u, v = rng.integers(n, size=(2, 4 * n))
@@ -368,9 +370,8 @@ def test_digit_difference_is_reduced_mod_p(p):
     assert np.array_equal(got, (u - v) % p)
 
 
-def _reference_is_automorphism(perm: VertexPermutation, s: ConnectionSet) -> bool:
+def _reference_is_automorphism(perm: VertexPermutation, s: ConnectionSet, coords) -> bool:
     # the per-member re-encoding loop over all of S, no grid, no +-t halving
-    coords = all_coords(s.m, s.p)
     pcoords = coords[perm.mapping]
     for t in s.members:
         add = encode_array((coords + coords[int(t)]) % s.p, s.p)
@@ -380,7 +381,7 @@ def _reference_is_automorphism(perm: VertexPermutation, s: ConnectionSet) -> boo
     return True
 
 
-def test_arc_check_agrees_with_the_unhalved_reference():
+def test_arc_check_agrees_with_the_unhalved_reference(all_coords):
     m, p = 2, 5
     n = num_vertices(m, p)
     labels = nontrivial_labels(p)
@@ -405,14 +406,14 @@ def test_arc_check_agrees_with_the_unhalved_reference():
         perm = VertexPermutation(mapping, m, p)
         s = orbital_union_set(tokens, m, p)
         got = perm.is_automorphism(s)
-        assert got == _reference_is_automorphism(perm, s)
+        assert got == _reference_is_automorphism(perm, s, all_coords(m, p))
         outcomes.add(got)
 
     check()
     assert outcomes == {True, False}
 
 
-def test_arc_check_covers_arcs_that_enter_the_support():
+def test_arc_check_covers_arcs_that_enter_the_support(all_coords):
     # on this 3-cycle the failing arcs are found only from the moved
     # vertices with both t and -t: one member of each pair +-t misses them
     m, p = 2, 3
@@ -420,7 +421,7 @@ def test_arc_check_covers_arcs_that_enter_the_support():
     mapping = np.arange(num_vertices(m, p))
     mapping[[26, 80, 44]] = [80, 44, 26]
     perm = VertexPermutation(mapping, m, p)
-    assert not _reference_is_automorphism(perm, s)
+    assert not _reference_is_automorphism(perm, s, all_coords(m, p))
     assert not perm.is_automorphism(s)
 
 
@@ -443,7 +444,7 @@ def test_hamming_check_on_every_capable_label(p, m):
         assert hamming_check(orbital_union_set([token], m, p), d1, d2), token
 
 
-def _hamming_oracle(s, d1, d2) -> bool:
+def _hamming_oracle(s, d1, d2, coords) -> bool:
     """Whether x = v1 (x) a + v2 (x) b is a bijection onto the pairs (a, b)
     and x - y is in S iff (a, b) of x and y differ in exactly one place,
     over every pair (x, y) of vertices."""
@@ -458,14 +459,13 @@ def _hamming_oracle(s, d1, d2) -> bool:
         return False
     acode, bcode = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     acode[vertex], bcode[vertex] = np.divmod(np.arange(n).reshape(q, q), q)
-    coords = all_coords(m, p)
     arcs = s.mask[encode_array(coords[:, None] - coords[None, :], p)]
     one_place = (acode[:, None] != acode) ^ (bcode[:, None] != bcode)
     return bool(np.array_equal(arcs, one_place))
 
 
 @pytest.mark.parametrize("p", [3, 5])
-def test_hamming_check_is_the_all_pairs_oracle(p):
+def test_hamming_check_is_the_all_pairs_oracle(p, all_coords):
     # every label against every Hamming-capable direction pair, both orders
     m = 2
     capable = [hamming_capable(t, p) for t in nontrivial_labels(p)]
@@ -475,7 +475,7 @@ def test_hamming_check_is_the_all_pairs_oracle(p):
     for token in nontrivial_labels(p):
         s = orbital_union_set([token], m, p)
         for d1, d2 in pairs:
-            expected = _hamming_oracle(s, d1, d2)
+            expected = _hamming_oracle(s, d1, d2, all_coords(m, p))
             try:
                 got = hamming_check(s, d1, d2)
             except BadDecomposition:
@@ -496,16 +496,17 @@ def test_hamming_check_refuses_a_wrong_inverse(monkeypatch):
     assert hamming_check(s, 0, INFINITY) is False
 
 
-def test_hamming_check_refuses_a_set_that_is_not_the_two_blocks():
+def test_hamming_check_refuses_a_set_that_is_not_the_two_blocks(all_coords):
     # negation-closed and of the Hamming degree, but one pair +-t of the
     # blocks is traded for a pair +-u of the B suborbit; and a proper subset
     m, p = 2, 5
     s = orbital_union_set(["A"], m, p)
     t = int(s.members[0])
     u = int(orbital_union_set(["B"], m, p).members[0])
-    drop = {t, int(negated(t, m, p))}
+    coords = all_coords(m, p)
+    drop = {t, int(negated(coords, t, p))}
     traded = ConnectionSet(
-        [v for v in s.members.tolist() if v not in drop] + [u, int(negated(u, m, p))], m, p
+        [v for v in s.members.tolist() if v not in drop] + [u, int(negated(coords, u, p))], m, p
     )
     assert len(traded) == len(s) == 2 * (p**m - 1)
     with pytest.raises(BadDecomposition):
@@ -547,3 +548,62 @@ def test_complement_duality(preserves_set):
     u2 = orbital_union_set(["A", "L2"], m, p)
     comp2 = orbital_union_set(sorted(complement_labels(["A", "L2"], p)), m, p)
     assert preserves_set(lin, u2) and preserves_set(lin, comp2)
+
+
+ORACLE_SPACES = [(p, m) for p in (3, 5, 7) for m in (1, 2, 3)]
+
+
+def _negation_closed_sets(coords, p, rng):
+    """(sets, neg): random negation-closed sets of nonzero vertices, of 1, 2,
+    3 and 6 pairs +-x (fewer where there are fewer vertices), and -x for
+    every vertex x."""
+    n = len(coords)
+    neg = negated(coords, np.arange(n), p)
+    sets = []
+    for size in (1, 2, 3, 6):
+        half = rng.choice(np.arange(1, n), size=min(size, n - 1), replace=False)
+        sets.append(np.union1d(half, neg[half]))
+    return sets, neg
+
+
+@pytest.mark.parametrize("p, m", ORACLE_SPACES)
+def test_negation_check_matches_the_int64_oracle(p, m, all_coords):
+    sets, neg = _negation_closed_sets(all_coords(m, p), p, np.random.default_rng(10 * p + m))
+    everything = np.arange(1, num_vertices(m, p))
+    for members in sets + [everything]:
+        s = ConnectionSet(members, m, p)
+        assert np.array_equal(s.members, members)
+        # -x != x for x != 0 at odd p, so dropping a member breaks the pair
+        assert neg[members[0]] != members[0]
+        with pytest.raises(ValueError, match="negation"):
+            ConnectionSet(members[1:], m, p)
+
+
+@pytest.mark.parametrize("p, m", ORACLE_SPACES)
+def test_is_connected_matches_the_int64_oracle(p, m, all_coords):
+    # one pair +-x spans a line; all nonzero vertices span T
+    coords = all_coords(m, p)
+    sets, _ = _negation_closed_sets(coords, p, np.random.default_rng(10 * p + m))
+    outcomes = set()
+    for members in sets + [np.arange(1, num_vertices(m, p))]:
+        s = ConnectionSet(members, m, p)
+        got = is_connected(s)
+        assert got == _bfs_is_connected(s, coords)
+        outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("p, m", ORACLE_SPACES)
+def test_nonadditive_witness_matches_the_int64_oracle(p, m, nonadditive_witness):
+    # a linear map, the same map with two images swapped, a random map
+    n = num_vertices(m, p)
+    rng = np.random.default_rng(10 * p + m)
+    a = Matrix(((1, 1), (1, p - 1)), p)
+    b = Matrix([[int(i == (j + 1) % m) for j in range(m)] for i in range(m)], p)
+    linear = VertexPermutation.from_linear((a, b), m, p).mapping
+    swapped = linear.copy()
+    swapped[[n // 3, n // 2]] = swapped[[n // 2, n // 3]]
+    for mapping in (linear, swapped, rng.permutation(n)):
+        perm = VertexPermutation(mapping, m, p)
+        assert perm.nonadditive_witness() == nonadditive_witness(perm)
+    assert VertexPermutation(linear, m, p).nonadditive_witness() is None

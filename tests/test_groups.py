@@ -2,11 +2,13 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbicert.errors import ZeroLambda
+from orbicert.fields import fp_inv
 from orbicert.groups import (
     AffineElem,
     LinPart,
@@ -294,3 +296,34 @@ def test_linpart_scalar_equivalence_and_affine():
     t = Tensor.from_rows((1, 0), (0, 1), p)
     aff = AffineElem(lin, t)
     assert aff.apply(x) == lin.apply(x) + t
+
+
+def _classify_oracle(coords, p):
+    """The token of every vertex from its int64 (2, m) coordinates: zero; B
+    if a 2 x 2 minor is nonzero; else A if row 1 is zero or the slope
+    r2[j] / r1[j] at its first nonzero column j is 0; else L<k> for the
+    class k of that slope."""
+    r1, r2 = coords[:, 0], coords[:, 1]
+    minors = (r1[:, :, None] * r2[:, None, :] - r1[:, None, :] * r2[:, :, None]) % p
+    rank2 = minors.reshape(len(coords), -1).any(axis=1)
+    lead = np.argmax(r1 != 0, axis=1)
+    rows = np.arange(len(coords))
+    a, b = r1[rows, lead].tolist(), r2[rows, lead].tolist()
+    out = []
+    for x in range(len(coords)):
+        if x == 0:
+            out.append("zero")
+        elif rank2[x]:
+            out.append("B")
+        elif a[x] == 0 or b[x] == 0:
+            out.append("A")
+        else:
+            out.append(f"L{canonical_lambda(b[x] * fp_inv(a[x], p), p)}")
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_classify_all_matches_the_int64_oracle(p, m, all_coords):
+    codes, tokens = classify_all(m, p)
+    assert [tokens[c] for c in codes.tolist()] == _classify_oracle(all_coords(m, p), p)

@@ -9,17 +9,21 @@ from hypothesis import strategies as st
 
 from orbicert.errors import DimensionMismatch, Singular, ZeroTensor
 from orbicert.groups import LinPart
+import orbicert.matrices as matrices
 from orbicert.matrices import (
+    MAX_VERTICES,
     Matrix,
     Tensor,
-    all_coords,
     decode_index,
+    digit_planes,
+    encode_array,
     encode_coords,
     gl2_count,
     gl2_enumerate,
     mat_inv,
     mat_mul,
     mat_rank,
+    linear_vertex_map,
     num_vertices,
     product_image,
     simple_factorize,
@@ -180,7 +184,7 @@ def _invertible(n: int, p: int):
 def test_kronecker_image_matches_the_scalar_action(m, examples):
     # every vertex, through LinPart.apply on Tensors, for a general (A, B)
     p = 5
-    digits = all_coords(m, p).reshape(-1, 2 * m)
+    planes = digit_planes(m, p)
 
     @settings(max_examples=examples, deadline=None, derandomize=True)
     @given(
@@ -190,11 +194,48 @@ def test_kronecker_image_matches_the_scalar_action(m, examples):
     def check(a, b):
         lin = LinPart(a, b)
         expected = [
-            lin.apply(Tensor.from_index(v, m, p)).index for v in range(len(digits))
+            lin.apply(Tensor.from_index(v, m, p)).index for v in range(planes.shape[1])
         ]
-        assert np.array_equal(product_image(digits, a, b, p), expected)
+        assert np.array_equal(product_image(planes, a, b, p), expected)
 
     check()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_linear_vertex_map_matches_the_int64_oracle(p, m, all_coords):
+    # the int32 plane-by-plane product against flat @ kron(a, b) in int64
+    rng = random.Random(10 * p + m)
+    flat = all_coords(m, p).reshape(-1, 2 * m)
+    for _ in range(3):
+        a, b = rand_invertible(2, p, rng), rand_invertible(m, p, rng)
+        expected = encode_array((flat @ np.kron(a.array, b.array)).reshape(-1, 2, m), p)
+        assert np.array_equal(linear_vertex_map(a, b, m, p), expected)
+
+
+def test_linear_vertex_map_at_the_largest_prime_under_the_vertex_gate():
+    # m = 1, p = 3137: p^2 = 9,840,769 vertices (3163^2 is over the gate),
+    # every image digit a sum of two products of digits up to p - 1
+    p, m = 3137, 1
+    n = num_vertices(m, p)
+    assert n <= MAX_VERTICES < num_vertices(m, 3163)
+    a = Matrix(((p - 1, p - 2), (p - 3, p - 1)), p)
+    b = Matrix(((p - 2,),), p)
+    assert a.is_invertible()
+    try:
+        got = linear_vertex_map(a, b, m, p)
+        # a bijection of the vertices
+        seen = np.zeros(n, dtype=bool)
+        seen[got] = True
+        assert seen.all()
+        # against int64 digits on every 997th vertex and the last, whose
+        # digits are all p - 1
+        x = np.r_[np.arange(0, n, 997), n - 1]
+        digits = np.stack([x % p, x // p], axis=1)
+        expected = encode_array((digits @ np.kron(a.array, b.array)).reshape(-1, 2, m), p)
+        assert np.array_equal(got[x], expected)
+    finally:
+        matrices.digit_planes.cache_clear()  # the table is 39 MB
 
 
 def test_simple_factorize_examples():
