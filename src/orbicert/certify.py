@@ -40,7 +40,6 @@ from .digraphs import (
 )
 from .errors import (
     CertificationFailed,
-    DegenerateLambda,
     InvalidConfig,
     ParameterTooLarge,
     ScanViolation,
@@ -65,7 +64,7 @@ from .matrices import (
 
 @dataclass(frozen=True)
 class DirectionSet:
-    """A set of projective directions in V and its realized vector set."""
+    """A nonempty set of distinct projective directions in V."""
 
     points: tuple
     p: int
@@ -80,17 +79,6 @@ class DirectionSet:
     def codes(self) -> tuple[int, ...]:
         """Point codes on the projective line (INFINITY is p)."""
         return tuple(point_code(d, self.p) for d in self.points)
-
-    @property
-    def realized(self) -> frozenset[tuple[int, int]]:
-        """Union of the one-spaces, minus zero."""
-        p = self.p
-        out = set()
-        for d in self.points:
-            v = (0, 1) if d is INFINITY else (1, int(d) % p)
-            for k in range(1, p):
-                out.add(((k * v[0]) % p, (k * v[1]) % p))
-        return frozenset(out)
 
     def describe(self) -> list:
         return ["inf" if d is INFINITY else int(d) % self.p for d in self.points]
@@ -124,16 +112,6 @@ def _gl_lift(classes, p: int) -> list[Matrix]:
     """The p-1 scalar multiples of each PGL(2,p) class, in lexicographic order."""
     lift = (a.scaled(k) for a in classes for k in range(1, p))
     return sorted(lift, key=lambda m: m.entries)
-
-
-def setwise_stabilizer_gl2(ds: DirectionSet) -> list[Matrix]:
-    """All A in GL(2,p) mapping the realized vector set onto itself.
-
-    The realized set is a union of one-spaces, so A stabilizes it iff its
-    class permutes the directions; every stabilizer therefore holds the
-    p-1 scalar multiples of each of its classes.
-    """
-    return _gl_lift(pgl2_stabilizer(ds.codes, ds.p), ds.p)
 
 
 def stabilizer_intersection_report(sets: list[DirectionSet], p: int) -> dict:
@@ -543,17 +521,6 @@ def obstruction_polynomials(lam: int) -> tuple[int, int, int, int]:
     l2 = lam * lam
     l4 = l2 * l2
     return (l4 + 1, l4 - 6 * l2 + 1, l4 + 6 * l2 + 1, l4 * l4 + 14 * l4 + 1)
-
-
-def lambda_obstructions(lam: int, p: int) -> set[int]:
-    """Residues mod p of the obstruction polynomials at lam.
-
-    Requires lam^4 outside {0, 1} mod p (otherwise the direction quadruple
-    is degenerate and the rigidity dichotomy does not apply).
-    """
-    if pow(lam % p, 4, p) in (0, 1):
-        raise DegenerateLambda(f"lambda^4 in {{0,1}} mod {p} for lambda={lam}")
-    return {v % p for v in obstruction_polynomials(lam)}
 
 
 SPECIAL_PRIMES = frozenset({5, 7, 13, 17})

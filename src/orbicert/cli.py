@@ -7,11 +7,10 @@ plus seed reproduces a report byte for byte.
 
 Wire formats used in reports and by the library:
 
-* tensor: a JSON array of 2m integers, row-major with the e1 row first
-  (``Tensor.to_json`` / ``Tensor.from_json``); the vertex index of a
-  tensor is sum(flat[k] * p^k) over the same flattening;
+* vertex: the index sum(flat[k] * p^k) over the row-major flattening of
+  the 2 x m coordinate grid, e1 row first;
 * suborbit label: ``"zero" | "A" | "B" | "L<k>"`` with k the canonical
-  class representative (``SuborbitLabel.token`` / ``SuborbitLabel.parse``);
+  class representative (the tokens of ``groups.classify_all``);
 * report: ``{tool_version, run_config, certificates, summary,
   content_hash}`` with certificates ``{claim, parameters, status,
   evidence, elapsed_ms}``; JSON output normalizes elapsed_ms to 0 so
@@ -42,7 +41,7 @@ from .crossratio import check_v4_collineations, verify_table1
 from .digraphs import hamming_check, orbital_union_set
 from .errors import DegenerateConfig, InvalidConfig, OrbicertError
 from .fields import INFINITY, PrimeModulus, fp_sqrt_minus_one
-from .groups import lambda_classes, nontrivial_labels, rank_of, suborbit_indices
+from .groups import classify_all, lambda_classes, rank_of, suborbit_indices
 from .matrices import num_vertices
 from .report import emit_report
 
@@ -127,7 +126,7 @@ def _lemma(name: str, cfg: RunConfig) -> Certificate:
         from .digraphs import is_connected
 
         results = {}
-        for token in nontrivial_labels(p):
+        for token in classify_all(m, p)[1][1:]:
             results[token] = bool(is_connected(orbital_union_set([token], m, p)))
         return _wrap(
             f"lemma:{name}", {"p": p, "m": m}, {"connected": results}, all(results.values())
@@ -149,7 +148,7 @@ def _lemma(name: str, cfg: RunConfig) -> Certificate:
             verify_clique_axioms(mu_cfg, seed=cfg.seed),
         )
     # suborbit-partition
-    sizes = {t: int(suborbit_indices(t, m, p).size) for t in nontrivial_labels(p)}
+    sizes = {t: int(suborbit_indices(t, m, p).size) for t in classify_all(m, p)[1][1:]}
     total = 1 + sum(sizes.values())
     return _wrap(
         f"lemma:{name}",

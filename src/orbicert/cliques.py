@@ -41,13 +41,7 @@ import numpy as np
 from .digraphs import ConnectionSet
 from .errors import DegenerateConfig, IndexOutOfRange, LemmaViolation
 from .fields import fp_inv
-from .matrices import (
-    Tensor,
-    direction_matrix,
-    encode_array,
-    num_vertices,
-    vertex_table_size,
-)
+from .matrices import direction_matrix, encode_array, vertex_table_size
 
 DEFAULT_SEED = 1729
 
@@ -91,14 +85,6 @@ class MuConfig:
             raise IndexOutOfRange(f"index {i} outside 1..{self.z}")
 
 
-@dataclass(frozen=True)
-class CliqueId:
-    """Parallel class index i plus any member vertex of the clique."""
-
-    i: int
-    rep: int
-
-
 def pi_functional(cfg: MuConfig, i: int) -> tuple[int, int]:
     """Row coefficients (alpha, beta) with pi_i(x) = alpha*r1 + beta*r2.
 
@@ -109,15 +95,6 @@ def pi_functional(cfg: MuConfig, i: int) -> tuple[int, int]:
     mi, mj = cfg.mu(i), cfg.mu(j)
     dinv = fp_inv((mj - mi) % cfg.p, cfg.p)
     return mj * dinv % cfg.p, (-dinv) % cfg.p
-
-
-def pi_projection(x: Tensor, i: int, cfg: MuConfig) -> tuple[int, ...]:
-    """The W-part of x attached to direction mu_i."""
-    if (x.m, x.p) != (cfg.m, cfg.p):
-        raise DegenerateConfig("tensor and configuration disagree")
-    alpha, beta = pi_functional(cfg, i)
-    p = cfg.p
-    return tuple((alpha * a + beta * b) % p for a, b in zip(x.row1, x.row2))
 
 
 def projection_coeffs(i: int, j: int, k: int, cfg: MuConfig) -> tuple[int, int]:
@@ -142,25 +119,6 @@ def projection_coeffs(i: int, j: int, k: int, cfg: MuConfig) -> tuple[int, int]:
     k1 = (ak * bj - aj * bk) * dinv % p
     k2 = (ai * bk - ak * bi) * dinv % p
     return k1, k2
-
-
-def tensor_from_projections(
-    i: int, j: int, w, wq, cfg: MuConfig
-) -> Tensor:
-    """The unique x with pi_i(x) = w and pi_j(x) = wq.
-
-    Built through the coefficient relations back to the first pair, as in
-    the uniqueness argument.
-    """
-    k1, k1q = projection_coeffs(i, j, 1, cfg)
-    k2, k2q = projection_coeffs(i, j, 2, cfg)
-    p = cfg.p
-    pi1 = tuple((k1 * a + k1q * b) % p for a, b in zip(w, wq))
-    pi2 = tuple((k2 * a + k2q * b) % p for a, b in zip(w, wq))
-    mu1, mu2 = cfg.mu(1), cfg.mu(2)
-    r1 = tuple((a + b) % p for a, b in zip(pi1, pi2))
-    r2 = tuple((mu1 * a + mu2 * b) % p for a, b in zip(pi1, pi2))
-    return Tensor.from_rows(r1, r2, p)
 
 
 def pi_matrix(cfg: MuConfig, i: int) -> np.ndarray:
@@ -190,20 +148,6 @@ def delta_indices(cfg: MuConfig) -> np.ndarray:
 
 def delta_connection_set(cfg: MuConfig) -> ConnectionSet:
     return ConnectionSet(delta_indices(cfg), cfg.m, cfg.p)
-
-
-def ell_clique(clique: CliqueId, cfg: MuConfig) -> frozenset[int]:
-    """All vertices sharing the i-th projection with the representative.
-
-    That is the coset rep + ker pi_i = rep + W E_i', with i' the partner of i
-    (see ``verify_clique_axioms``).
-    """
-    n = num_vertices(cfg.m, cfg.p)
-    if not 0 <= clique.rep < n:
-        raise IndexOutOfRange(f"representative {clique.rep} outside 0..{n - 1}")
-    rep = Tensor.from_index(clique.rep, cfg.m, cfg.p).coords.array
-    coset = rep + _block(cfg, cfg.partner(clique.i))
-    return frozenset(encode_array(coset, cfg.p).tolist())
 
 
 def bruck_bound(z: int) -> int:

@@ -50,8 +50,6 @@ for _sigma, _row in [
 ]:
     PERMUTATION_ROWS[_sigma] = _row
 
-KLEIN_FOUR = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
-
 
 def homogeneous(value, p: int) -> tuple[int, int]:
     if value is INFINITY:
@@ -100,22 +98,9 @@ def apply_formula(row: str, r, p: int):
     raise ValueError(f"unknown formula {row!r}")
 
 
-def permuted_cross_ratio(sigma, r, p: int):
-    """Cross-ratio after renaming the four points by sigma (image tuple)."""
-    sigma = tuple(sigma)
-    if sigma not in PERMUTATION_ROWS:
-        raise ValueError(f"not a permutation of 4 labels: {sigma}")
-    return apply_formula(PERMUTATION_ROWS[sigma], r, p)
-
-
 def permute_quad(sigma, quad):
     """The tuple (P^sigma, Q^sigma, R^sigma, S^sigma)."""
     return tuple(quad[sigma[i]] for i in range(4))
-
-
-def klein_four_classifier(sigma) -> bool:
-    """True iff sigma is the identity or a double transposition."""
-    return tuple(sigma) in KLEIN_FOUR
 
 
 def _validate_rows():
@@ -211,16 +196,6 @@ def lambda_quad(lam: int, p: int) -> tuple[int, int, int, int]:
     lam %= p
     li = fp_inv(lam, p)
     return (lam, (-lam) % p, li, (-li) % p)
-
-
-def lambda_quad_cross_ratio(lam: int, p: int):
-    """Closed form (lam^2-1)^2 / (lam^2+1)^2 for the direction quadruple."""
-    lam %= p
-    num = (lam * lam - 1) ** 2 % p
-    den = (lam * lam + 1) ** 2 % p
-    if den == 0:
-        return INFINITY
-    return num * fp_inv(den, p) % p
 
 
 # the four double-transposition collineations: sigma -> dihedral matrix

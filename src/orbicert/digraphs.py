@@ -21,18 +21,16 @@ from .crossratio import homogeneous
 from .fields import INFINITY, fp_inv
 from .matrices import (
     Matrix,
-    decode_index,
     decode_planes,
     digit_planes,
     direction_matrix,
     encode_array,
-    encode_coords,
     linear_vertex_map,
     mat_inv,
     num_vertices,
     vertex_table_size,
 )
-from .groups import LinPart, classify_all, nontrivial_labels
+from .groups import classify_all, nontrivial_labels
 
 
 class ConnectionSet:
@@ -133,41 +131,27 @@ def _gathered_difference(planes: np.ndarray, i, j, p: int) -> np.ndarray:
     return _horner_difference(((plane[i], plane[j]) for plane in planes[::-1]), p)
 
 
-def difference_index(x: int, y: int, m: int, p: int) -> int:
-    """Vertex index of x - y; raises IndexOutOfRange outside the vertices."""
-    n = num_vertices(m, p)
-    (u1, u2), (v1, v2) = decode_index(_vertex(x, n), m, p), decode_index(_vertex(y, n), m, p)
-    return encode_coords([a - b for a, b in zip(u1 + u2, v1 + v2)], p)
-
-
 def orbital_union_set(labels, m: int, p: int) -> ConnectionSet:
-    """Union of the named nontrivial suborbits as a connection set."""
-    tokens = frozenset(
-        lab.token if hasattr(lab, "token") else str(lab) for lab in labels
-    )
+    """Union of the named nontrivial suborbits as a connection set.
+
+    The tokens are checked against those of ``classify_all``, whose vertex
+    gate refuses a large p^(2m) before any lambda-class is built.
+    """
+    tokens = frozenset(labels)
     if not tokens:
         raise EmptyUnion("no suborbit labels given")
     if "zero" in tokens:
         raise ValueError("the trivial suborbit does not define arcs")
-    known = set(nontrivial_labels(p))
-    bad = tokens - known
+    codes, code_tokens = classify_all(m, p)
+    bad = tokens.difference(code_tokens[1:])
     if bad:
         raise ValueError(f"unknown suborbits for p={p}: {sorted(bad)}")
-    codes, code_tokens = classify_all(m, p)
     wanted = np.array([t in tokens for t in code_tokens])
     return ConnectionSet(np.flatnonzero(wanted[codes]), m, p, labels=tokens)
 
 
 def complement_labels(labels, p: int) -> frozenset[str]:
-    tokens = frozenset(
-        lab.token if hasattr(lab, "token") else str(lab) for lab in labels
-    )
-    return frozenset(nontrivial_labels(p)) - tokens
-
-
-def is_arc(x: int, y: int, s: ConnectionSet) -> bool:
-    """Arc test: x - y in S."""
-    return difference_index(x, y, s.m, s.p) in s
+    return frozenset(nontrivial_labels(p)).difference(labels)
 
 
 def is_connected(s: ConnectionSet) -> bool:
@@ -236,17 +220,6 @@ class VertexPermutation:
 
     def __setattr__(self, *a):
         raise AttributeError("VertexPermutation is immutable")
-
-    @classmethod
-    def from_linear(cls, lin, m: int, p: int) -> "VertexPermutation":
-        a, b = (lin.a, lin.b) if isinstance(lin, LinPart) else lin
-        return cls(linear_vertex_map(a, b, m, p), m, p)
-
-    def __call__(self, idx: int) -> int:
-        return int(self.mapping[int(idx)])
-
-    def fixes_zero(self) -> bool:
-        return self.mapping[0] == 0
 
     def is_automorphism(self, s: ConnectionSet) -> bool:
         """Exhaustive arc check at the moved vertices.

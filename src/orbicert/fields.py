@@ -1,7 +1,7 @@
 """Exact residue arithmetic in GF(p) for odd primes p.
 
-All internal values are canonical residues in [0, p); signed integers enter
-only through :func:`fp_normalize`.
+All values returned are canonical residues in [0, p); a signed integer
+argument is reduced mod p first.
 """
 
 from __future__ import annotations
@@ -73,11 +73,6 @@ def _as_p(p) -> int:
     return p.p if isinstance(p, PrimeModulus) else int(p)
 
 
-def fp_normalize(n: int, p) -> int:
-    """Canonical residue of a (possibly signed) integer mod p."""
-    return n % _as_p(p)
-
-
 def fp_inv(a: int, p) -> int:
     """Inverse of a mod p via extended Euclid (hot path: avoid powering)."""
     p = _as_p(p)
@@ -95,13 +90,6 @@ def fp_inv(a: int, p) -> int:
     return x0 % p
 
 
-def fp_pow(a: int, n: int, p) -> int:
-    """a**n mod p by square-and-multiply; 0**0 = 1 by convention."""
-    if n < 0:
-        raise ValueError("exponent must be nonnegative")
-    return pow(a % _as_p(p), n, _as_p(p))
-
-
 def fp_sqrt_minus_one(p) -> int | None:
     """Smaller root i of i^2 = -1 mod p, or None when p = 3 (mod 4)."""
     p = _as_p(p)
@@ -113,64 +101,3 @@ def fp_sqrt_minus_one(p) -> int | None:
             root = pow(g, (p - 1) // 4, p)
             return min(root, p - root)
     raise AssertionError("unreachable: p = 1 (mod 4) has a non-residue")
-
-
-@dataclass(frozen=True)
-class FpElement:
-    """A canonical residue paired with its modulus."""
-
-    value: int
-    modulus: PrimeModulus
-
-    def __post_init__(self):
-        if not (0 <= self.value < self.modulus.p):
-            raise ValueError(f"non-canonical residue {self.value} mod {self.modulus.p}")
-
-    @classmethod
-    def of(cls, n: int, p) -> "FpElement":
-        pm = p if isinstance(p, PrimeModulus) else PrimeModulus(int(p))
-        return cls(n % pm.p, pm)
-
-    def _lift(self, other) -> "FpElement":
-        if isinstance(other, FpElement):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli")
-            return other
-        return FpElement.of(int(other), self.modulus)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return FpElement((self.value + o.value) % self.modulus.p, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        return FpElement((self.value - o.value) % self.modulus.p, self.modulus)
-
-    def __rsub__(self, other):
-        return self._lift(other) - self
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return FpElement((self.value * o.value) % self.modulus.p, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElement((-self.value) % self.modulus.p, self.modulus)
-
-    def inv(self) -> "FpElement":
-        return FpElement(fp_inv(self.value, self.modulus.p), self.modulus)
-
-    def __truediv__(self, other):
-        return self * self._lift(other).inv()
-
-    def __pow__(self, n: int):
-        return FpElement(fp_pow(self.value, n, self.modulus.p), self.modulus)
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"{self.value} (mod {self.modulus.p})"

@@ -12,20 +12,13 @@ Conventions fixed once for the whole toolkit:
 from __future__ import annotations
 
 import itertools
-import json
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    ParameterTooLarge,
-    Singular,
-    ZeroTensor,
-)
+from .errors import DimensionMismatch, ParameterTooLarge, Singular
 from .fields import INFINITY, fp_inv
 
-GL2_ENUM_MAX_P = 200
 MAX_VERTICES = 10**7
 
 
@@ -49,10 +42,6 @@ class Matrix:
     @classmethod
     def identity(cls, n: int, p: int) -> "Matrix":
         return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), p)
-
-    @classmethod
-    def zero(cls, n_rows: int, n_cols: int, p: int) -> "Matrix":
-        return cls(tuple((0,) * n_cols for _ in range(n_rows)), p)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -79,9 +68,6 @@ class Matrix:
 
     def scaled(self, k: int) -> "Matrix":
         return Matrix(tuple(tuple(k * v for v in row) for row in self.entries), self.p)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.entries)), self.p)
 
     def det(self) -> int:
         if self.rows != self.cols:
@@ -155,51 +141,8 @@ def mat_inv(a: Matrix) -> Matrix:
     return Matrix(tuple(tuple(row[n:]) for row in aug), p)
 
 
-def mat_rank(a: Matrix) -> int:
-    """Rank over GF(p) by Gaussian elimination."""
-    rows = [list(r) for r in a.entries]
-    p = a.p
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < a.cols:
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = fp_inv(rows[rank][col], p)
-        rows[rank] = [v * inv % p for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def gl2_count(p: int) -> int:
     return (p * p - 1) * (p * p - p)
-
-
-def gl2_enumerate(p: int):
-    """Yield every element of GL(2,p) exactly once.
-
-    First row ranges over nonzero vectors, second row over non-multiples of
-    the first, so the count (p^2-1)(p^2-p) holds by construction.
-    """
-    if p > GL2_ENUM_MAX_P:
-        raise ParameterTooLarge(f"GL(2,{p}) enumeration gated to p <= {GL2_ENUM_MAX_P}")
-    for a in range(p):
-        for b in range(p):
-            if a == 0 and b == 0:
-                continue
-            multiples = {((k * a) % p, (k * b) % p) for k in range(p)}
-            for c in range(p):
-                for d in range(p):
-                    if (c, d) in multiples:
-                        continue
-                    yield Matrix(((a, b), (c, d)), p)
 
 
 def point_code(value, p: int) -> int:
@@ -221,7 +164,7 @@ def pgl2_stabilizer(codes, p: int) -> list[Matrix]:
 
     A normalized representative is its class's lexicographically first
     member, so the first class passing a scalar-invariant filter holds the
-    first matrix of ``gl2_enumerate`` order that passes it.  PGL(2,p) is
+    first matrix of GL(2,p), in lexicographic order, that passes it.  PGL(2,p) is
     sharply 3-transitive on the p+1 points, and a class stabilizes a set iff
     it stabilizes the complement.  So the frame is the first three points of
     the smaller side, followed by the other side; each ordered triple of
@@ -273,23 +216,6 @@ def num_vertices(m: int, p: int) -> int:
     return p ** (2 * m)
 
 
-def encode_coords(flat, p: int) -> int:
-    """Mixed-radix vertex index of a row-major coordinate list."""
-    idx = 0
-    for k, v in enumerate(flat):
-        idx += (v % p) * p**k
-    return idx
-
-
-def decode_index(idx: int, m: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Recover the (e1-row, e2-row) coordinate pair of a vertex index."""
-    digits = []
-    for _ in range(2 * m):
-        digits.append(idx % p)
-        idx //= p
-    return tuple(digits[:m]), tuple(digits[m:])
-
-
 def vertex_table_size(m: int, p: int) -> int:
     """p^(2m), refused above MAX_VERTICES before a table that long is made."""
     n = num_vertices(m, p)
@@ -329,141 +255,6 @@ def encode_array(coords: np.ndarray, p: int) -> np.ndarray:
     flat = coords.reshape(*coords.shape[:-2], 2 * m)
     radix = p ** np.arange(2 * m, dtype=np.int64)
     return (flat % p) @ radix
-
-
-class Tensor:
-    """An element of the 2m-dimensional tensor space, as a 2 x m grid."""
-
-    __slots__ = ("m", "p", "coords")
-
-    def __init__(self, coords: Matrix):
-        if coords.rows != 2:
-            raise DimensionMismatch("tensor coordinates need exactly 2 rows")
-        if coords.cols < 2:
-            raise DimensionMismatch("tensor space needs m >= 2")
-        object.__setattr__(self, "m", coords.cols)
-        object.__setattr__(self, "p", coords.p)
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Tensor is immutable")
-
-    @classmethod
-    def from_rows(cls, row1, row2, p: int) -> "Tensor":
-        return cls(Matrix((tuple(row1), tuple(row2)), p))
-
-    @classmethod
-    def zero(cls, m: int, p: int) -> "Tensor":
-        return cls(Matrix.zero(2, m, p))
-
-    @classmethod
-    def simple(cls, v, w, p: int) -> "Tensor":
-        """The simple tensor (v1 e1 + v2 e2) (x) w."""
-        v0, v1 = v
-        return cls.from_rows([v0 * x % p for x in w], [v1 * x % p for x in w], p)
-
-    @classmethod
-    def from_index(cls, idx: int, m: int, p: int) -> "Tensor":
-        r1, r2 = decode_index(idx, m, p)
-        return cls.from_rows(r1, r2, p)
-
-    @property
-    def index(self) -> int:
-        return encode_coords(self.coords.entries[0] + self.coords.entries[1], self.p)
-
-    @property
-    def row1(self) -> tuple[int, ...]:
-        return self.coords.entries[0]
-
-    @property
-    def row2(self) -> tuple[int, ...]:
-        return self.coords.entries[1]
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.coords.entries for v in row)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Tensor)
-            and self.p == other.p
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.coords.entries))
-
-    def __repr__(self):
-        return f"Tensor({list(self.row1)}, {list(self.row2)}, p={self.p})"
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        if self.p != other.p or self.m != other.m:
-            raise DimensionMismatch("mixed tensor spaces")
-        p = self.p
-        return Tensor.from_rows(
-            [(a + b) % p for a, b in zip(self.row1, other.row1)],
-            [(a + b) % p for a, b in zip(self.row2, other.row2)],
-            p,
-        )
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return self + (-other)
-
-    def __neg__(self) -> "Tensor":
-        return self.scaled(self.p - 1)
-
-    def scaled(self, k: int) -> "Tensor":
-        p = self.p
-        return Tensor.from_rows(
-            [k * v % p for v in self.row1], [k * v % p for v in self.row2], p
-        )
-
-    def rank(self) -> int:
-        return mat_rank(self.coords)
-
-    def to_json(self) -> str:
-        """Wire format: JSON array of 2m integers, row-major, e1 row first."""
-        return json.dumps(list(self.row1) + list(self.row2))
-
-    @classmethod
-    def from_json(cls, text: str, p: int) -> "Tensor":
-        flat = json.loads(text)
-        if len(flat) % 2 != 0 or len(flat) < 4:
-            raise DimensionMismatch("tensor wire format needs 2m >= 4 integers")
-        m = len(flat) // 2
-        return cls.from_rows(flat[:m], flat[m:], p)
-
-
-def tensor_apply(a: Matrix, b: Matrix, x: Tensor) -> Tensor:
-    """Image of x under the product action of (a, b); grid map X -> a^T X b.
-
-    Composition is a right action: applying (a1,b1) then (a2,b2) equals
-    applying (a1*a2, b1*b2).
-    """
-    if a.p != x.p or b.p != x.p:
-        raise DimensionMismatch("mixed moduli")
-    if a.rows != 2 or a.cols != 2 or b.rows != x.m or b.cols != x.m:
-        raise DimensionMismatch("action needs a 2x2 and an m x m matrix")
-    if not a.is_invertible() or not b.is_invertible():
-        raise Singular("group action requires invertible matrices")
-    return Tensor(mat_mul(mat_mul(a.transpose(), x.coords), b))
-
-
-def simple_factorize(x: Tensor):
-    """Write x = v (x) w with v normalized (first nonzero entry 1).
-
-    Returns None when rank(x) = 2; raises ZeroTensor on x = 0.
-    """
-    if x.is_zero():
-        raise ZeroTensor("zero tensor has no direction")
-    if x.rank() > 1:
-        return None
-    r1, r2 = x.row1, x.row2
-    p = x.p
-    if any(r1):
-        j = next(j for j in range(x.m) if r1[j])
-        mu = r2[j] * fp_inv(r1[j], p) % p
-        return (1, mu), r1
-    return (0, 1), r2
 
 
 def direction_matrix(v, m: int) -> np.ndarray:

@@ -9,13 +9,14 @@ import pytest
 import orbicert.crossratio as crossratio
 from orbicert.crossratio import apply_formula, cross_ratio, permute_quad, projective_line
 from orbicert.errors import TableViolation
-from orbicert.groups import LinPart
 from orbicert.matrices import (
     encode_array,
     num_vertices,
     product_image,
     vertex_table_size,
 )
+
+from oracles import LinPart
 
 
 def decode_array(idx, m: int, p: int) -> np.ndarray:

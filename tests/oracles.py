@@ -1,0 +1,647 @@
+"""Reference code for the tests: scalar, one-object-at-a-time models of
+what ``orbicert`` computes with numpy, and the tensor and group-element
+types they work on.
+
+No ``orbicert`` command reaches any of this, so it is kept out of the
+package (``tests/test_layout.py`` checks that the package holds only what
+it uses) and no command compiles it.  The property and acceptance tests
+compare the package's numpy paths against it.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+
+from orbicert.certify import DirectionSet, _gl_lift, obstruction_polynomials
+from orbicert.cliques import MuConfig, _block, pi_functional, projection_coeffs
+from orbicert.crossratio import PERMUTATION_ROWS, apply_formula
+from orbicert.digraphs import ConnectionSet, VertexPermutation, _vertex
+from orbicert.errors import (
+    DegenerateConfig,
+    DegenerateLambda,
+    DimensionMismatch,
+    IndexOutOfRange,
+    ParameterTooLarge,
+    Singular,
+    ZeroTensor,
+)
+from orbicert.fields import INFINITY, PrimeModulus, _as_p, fp_inv
+from orbicert.groups import SUBORBIT_ENUM_MAX, canonical_lambda, d8_elements, suborbit_indices
+from orbicert.matrices import (
+    Matrix,
+    encode_array,
+    linear_vertex_map,
+    mat_inv,
+    mat_mul,
+    num_vertices,
+    pgl2_stabilizer,
+    scalar_normalize,
+)
+
+
+# ---------------------------------------------------------------------------
+# GF(p) residues
+
+
+def fp_normalize(n: int, p) -> int:
+    """Canonical residue of a (possibly signed) integer mod p."""
+    return n % _as_p(p)
+
+
+def fp_pow(a: int, n: int, p) -> int:
+    """a**n mod p by square-and-multiply; 0**0 = 1 by convention."""
+    if n < 0:
+        raise ValueError("exponent must be nonnegative")
+    return pow(a % _as_p(p), n, _as_p(p))
+
+
+@dataclass(frozen=True)
+class FpElement:
+    """A canonical residue paired with its modulus."""
+
+    value: int
+    modulus: PrimeModulus
+
+    def __post_init__(self):
+        if not (0 <= self.value < self.modulus.p):
+            raise ValueError(f"non-canonical residue {self.value} mod {self.modulus.p}")
+
+    @classmethod
+    def of(cls, n: int, p) -> "FpElement":
+        pm = p if isinstance(p, PrimeModulus) else PrimeModulus(int(p))
+        return cls(n % pm.p, pm)
+
+    def _lift(self, other) -> "FpElement":
+        if isinstance(other, FpElement):
+            if other.modulus != self.modulus:
+                raise ValueError("mixed moduli")
+            return other
+        return FpElement.of(int(other), self.modulus)
+
+    def __add__(self, other):
+        o = self._lift(other)
+        return FpElement((self.value + o.value) % self.modulus.p, self.modulus)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        return FpElement((self.value - o.value) % self.modulus.p, self.modulus)
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        return FpElement((self.value * o.value) % self.modulus.p, self.modulus)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return FpElement((-self.value) % self.modulus.p, self.modulus)
+
+    def inv(self) -> "FpElement":
+        return FpElement(fp_inv(self.value, self.modulus.p), self.modulus)
+
+    def __truediv__(self, other):
+        return self * self._lift(other).inv()
+
+    def __pow__(self, n: int):
+        return FpElement(fp_pow(self.value, n, self.modulus.p), self.modulus)
+
+    def __int__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"{self.value} (mod {self.modulus.p})"
+
+
+# ---------------------------------------------------------------------------
+# matrices, GL(2,p) and the 2 x m tensors
+
+
+GL2_ENUM_MAX_P = 200
+
+
+def mat_rank(a: Matrix) -> int:
+    """Rank over GF(p) by Gaussian elimination."""
+    rows = [list(r) for r in a.entries]
+    p = a.p
+    rank = 0
+    col = 0
+    while rank < len(rows) and col < a.cols:
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = fp_inv(rows[rank][col], p)
+        rows[rank] = [v * inv % p for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col]
+                rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def gl2_enumerate(p: int):
+    """Yield every element of GL(2,p) exactly once.
+
+    First row ranges over nonzero vectors, second row over non-multiples of
+    the first, so the count (p^2-1)(p^2-p) holds by construction.
+    """
+    if p > GL2_ENUM_MAX_P:
+        raise ParameterTooLarge(f"GL(2,{p}) enumeration gated to p <= {GL2_ENUM_MAX_P}")
+    for a in range(p):
+        for b in range(p):
+            if a == 0 and b == 0:
+                continue
+            multiples = {((k * a) % p, (k * b) % p) for k in range(p)}
+            for c in range(p):
+                for d in range(p):
+                    if (c, d) in multiples:
+                        continue
+                    yield Matrix(((a, b), (c, d)), p)
+
+
+def encode_coords(flat, p: int) -> int:
+    """Mixed-radix vertex index of a row-major coordinate list."""
+    idx = 0
+    for k, v in enumerate(flat):
+        idx += (v % p) * p**k
+    return idx
+
+
+def decode_index(idx: int, m: int, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Recover the (e1-row, e2-row) coordinate pair of a vertex index."""
+    digits = []
+    for _ in range(2 * m):
+        digits.append(idx % p)
+        idx //= p
+    return tuple(digits[:m]), tuple(digits[m:])
+
+
+class Tensor:
+    """An element of the 2m-dimensional tensor space, as a 2 x m grid."""
+
+    __slots__ = ("m", "p", "coords")
+
+    def __init__(self, coords: Matrix):
+        if coords.rows != 2:
+            raise DimensionMismatch("tensor coordinates need exactly 2 rows")
+        if coords.cols < 2:
+            raise DimensionMismatch("tensor space needs m >= 2")
+        object.__setattr__(self, "m", coords.cols)
+        object.__setattr__(self, "p", coords.p)
+        object.__setattr__(self, "coords", coords)
+
+    def __setattr__(self, *a):
+        raise AttributeError("Tensor is immutable")
+
+    @classmethod
+    def from_rows(cls, row1, row2, p: int) -> "Tensor":
+        return cls(Matrix((tuple(row1), tuple(row2)), p))
+
+    @classmethod
+    def zero(cls, m: int, p: int) -> "Tensor":
+        return cls(Matrix(((0,) * m,) * 2, p))
+
+    @classmethod
+    def simple(cls, v, w, p: int) -> "Tensor":
+        """The simple tensor (v1 e1 + v2 e2) (x) w."""
+        v0, v1 = v
+        return cls.from_rows([v0 * x % p for x in w], [v1 * x % p for x in w], p)
+
+    @classmethod
+    def from_index(cls, idx: int, m: int, p: int) -> "Tensor":
+        r1, r2 = decode_index(idx, m, p)
+        return cls.from_rows(r1, r2, p)
+
+    @property
+    def index(self) -> int:
+        return encode_coords(self.coords.entries[0] + self.coords.entries[1], self.p)
+
+    @property
+    def row1(self) -> tuple[int, ...]:
+        return self.coords.entries[0]
+
+    @property
+    def row2(self) -> tuple[int, ...]:
+        return self.coords.entries[1]
+
+    def is_zero(self) -> bool:
+        return all(v == 0 for row in self.coords.entries for v in row)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Tensor)
+            and self.p == other.p
+            and self.coords == other.coords
+        )
+
+    def __hash__(self):
+        return hash((self.p, self.coords.entries))
+
+    def __repr__(self):
+        return f"Tensor({list(self.row1)}, {list(self.row2)}, p={self.p})"
+
+    def __add__(self, other: "Tensor") -> "Tensor":
+        if self.p != other.p or self.m != other.m:
+            raise DimensionMismatch("mixed tensor spaces")
+        p = self.p
+        return Tensor.from_rows(
+            [(a + b) % p for a, b in zip(self.row1, other.row1)],
+            [(a + b) % p for a, b in zip(self.row2, other.row2)],
+            p,
+        )
+
+    def __sub__(self, other: "Tensor") -> "Tensor":
+        return self + (-other)
+
+    def __neg__(self) -> "Tensor":
+        return self.scaled(self.p - 1)
+
+    def scaled(self, k: int) -> "Tensor":
+        p = self.p
+        return Tensor.from_rows(
+            [k * v % p for v in self.row1], [k * v % p for v in self.row2], p
+        )
+
+    def rank(self) -> int:
+        return mat_rank(self.coords)
+
+    def to_json(self) -> str:
+        """Wire format: JSON array of 2m integers, row-major, e1 row first."""
+        return json.dumps(list(self.row1) + list(self.row2))
+
+    @classmethod
+    def from_json(cls, text: str, p: int) -> "Tensor":
+        flat = json.loads(text)
+        if len(flat) % 2 != 0 or len(flat) < 4:
+            raise DimensionMismatch("tensor wire format needs 2m >= 4 integers")
+        m = len(flat) // 2
+        return cls.from_rows(flat[:m], flat[m:], p)
+
+
+def tensor_apply(a: Matrix, b: Matrix, x: Tensor) -> Tensor:
+    """Image of x under the product action of (a, b); grid map X -> a^T X b.
+
+    Composition is a right action: applying (a1,b1) then (a2,b2) equals
+    applying (a1*a2, b1*b2).
+    """
+    if a.p != x.p or b.p != x.p:
+        raise DimensionMismatch("mixed moduli")
+    if a.rows != 2 or a.cols != 2 or b.rows != x.m or b.cols != x.m:
+        raise DimensionMismatch("action needs a 2x2 and an m x m matrix")
+    if not a.is_invertible() or not b.is_invertible():
+        raise Singular("group action requires invertible matrices")
+    return Tensor(mat_mul(mat_mul(Matrix(tuple(zip(*a.entries)), a.p), x.coords), b))
+
+
+def simple_factorize(x: Tensor):
+    """Write x = v (x) w with v normalized (first nonzero entry 1).
+
+    Returns None when rank(x) = 2; raises ZeroTensor on x = 0.
+    """
+    if x.is_zero():
+        raise ZeroTensor("zero tensor has no direction")
+    if x.rank() > 1:
+        return None
+    r1, r2 = x.row1, x.row2
+    p = x.p
+    if any(r1):
+        j = next(j for j in range(x.m) if r1[j])
+        mu = r2[j] * fp_inv(r1[j], p) % p
+        return (1, mu), r1
+    return (0, 1), r2
+
+
+# ---------------------------------------------------------------------------
+# the product group and its suborbits, one tensor at a time
+
+
+def orbit_under_d8(vectors, p: int) -> frozenset:
+    """Orbit of a tuple of V-vectors under the simultaneous dihedral action.
+
+    A single vector may be passed as a 2-tuple of ints; a tuple of vectors
+    is mapped componentwise.
+    """
+    vecs = tuple(vectors)
+    single = vecs and all(isinstance(v, int) for v in vecs)
+    if single:
+        vecs = (vecs,)
+    out = set()
+    for m in d8_elements(p):
+        image = tuple(
+            (
+                (v[0] * m[0, 0] + v[1] * m[1, 0]) % p,
+                (v[0] * m[0, 1] + v[1] * m[1, 1]) % p,
+            )
+            for v in vecs
+        )
+        out.add(image[0] if single else image)
+    return frozenset(out)
+
+
+@dataclass(frozen=True)
+class LinPart:
+    """A pair (A, B) acting as the product map, up to (A,B) ~ (kA, k^-1 B)."""
+
+    a: Matrix
+    b: Matrix
+
+    def __post_init__(self):
+        if self.a.p != self.b.p:
+            raise DimensionMismatch("mixed moduli")
+        if self.a.rows != 2 or self.a.cols != 2:
+            raise DimensionMismatch("first factor must be 2x2")
+        if self.b.rows != self.b.cols:
+            raise DimensionMismatch("second factor must be square")
+
+    @property
+    def p(self) -> int:
+        return self.a.p
+
+    def canonical(self) -> tuple[Matrix, Matrix]:
+        """Scalar-normalized representative: first nonzero entry of A is 1."""
+        a, c = scalar_normalize(self.a)
+        return a, self.b.scaled(c)
+
+    def same_map(self, other: "LinPart") -> bool:
+        return self.canonical() == other.canonical()
+
+    def apply(self, x: Tensor) -> Tensor:
+        return tensor_apply(self.a, self.b, x)
+
+
+@dataclass(frozen=True)
+class AffineElem:
+    """x |-> x^(A o B) + t, an element of the full affine group."""
+
+    linear: LinPart
+    translation: Tensor
+
+    def apply(self, x: Tensor) -> Tensor:
+        return self.linear.apply(x) + self.translation
+
+
+@dataclass(frozen=True)
+class SuborbitLabel:
+    """Zero, A, B, or Lambda(canonical lam); serialized zero|A|B|L<k>."""
+
+    tag: str
+    lam: int | None = None
+
+    def __post_init__(self):
+        if self.tag not in ("Zero", "A", "B", "Lambda"):
+            raise ValueError(f"bad tag {self.tag!r}")
+        if (self.tag == "Lambda") != (self.lam is not None):
+            raise ValueError("lambda value present iff tag is Lambda")
+
+    @property
+    def token(self) -> str:
+        if self.tag == "Zero":
+            return "zero"
+        if self.tag == "Lambda":
+            return f"L{self.lam}"
+        return self.tag
+
+    @classmethod
+    def parse(cls, token: str) -> "SuborbitLabel":
+        if token == "zero":
+            return cls("Zero")
+        if token in ("A", "B"):
+            return cls(token)
+        if token.startswith("L") and token[1:].isdigit():
+            return cls("Lambda", int(token[1:]))
+        raise ValueError(f"bad suborbit token {token!r}")
+
+    def __repr__(self):
+        return f"SuborbitLabel({self.token!r})"
+
+
+def classify_tensor(x: Tensor) -> SuborbitLabel:
+    """Suborbit of x: Zero, B (rank 2), A (axis direction), or Lambda."""
+    if x.is_zero():
+        return SuborbitLabel("Zero")
+    vw = simple_factorize(x)
+    if vw is None:
+        return SuborbitLabel("B")
+    (v0, v1), _ = vw
+    if v0 == 0 or v1 == 0:
+        return SuborbitLabel("A")
+    return SuborbitLabel("Lambda", canonical_lambda(v1, x.p))
+
+
+def suborbit_elements(label, m: int, p: int) -> frozenset[Tensor]:
+    """The full element set of a suborbit, as Tensors (desk scale only)."""
+    if num_vertices(m, p) > SUBORBIT_ENUM_MAX:
+        raise ParameterTooLarge("suborbit enumeration gated to p^(2m) <= 10^6")
+    return frozenset(
+        Tensor.from_index(int(i), m, p) for i in suborbit_indices(label, m, p)
+    )
+
+
+def complete_basis(rows, m: int, p: int) -> Matrix:
+    """Extend independent row vectors to an invertible m x m matrix."""
+    chosen = [tuple(r) for r in rows]
+    for j in range(m):
+        cand = tuple(int(i == j) for i in range(m))
+        trial = Matrix(tuple(chosen) + (cand,), p)
+        if mat_rank(trial) == len(chosen) + 1:
+            chosen.append(cand)
+        if len(chosen) == m:
+            break
+    basis = Matrix(tuple(chosen), p)
+    if not basis.is_invertible():
+        raise DimensionMismatch("rows were not independent")
+    return basis
+
+
+def connecting_element(x: Tensor, y: Tensor) -> LinPart | None:
+    """A stabilizer element mapping x to y, or None if labels differ.
+
+    Realizes transitivity inside each suborbit constructively: a dihedral
+    matrix aligns simple directions, and a basis-change matrix moves the
+    m-dimensional parts (the general linear factor is transitive on
+    independent tuples).  The returned element is verified before return.
+    """
+    if classify_tensor(x) != classify_tensor(y):
+        return None
+    p, m = x.p, x.m
+    ident = Matrix.identity(m, p)
+    if x.is_zero():
+        return LinPart(Matrix.identity(2, p), ident)
+    if x.rank() == 2:
+        r = complete_basis([x.row1, x.row2], m, p)
+        s = complete_basis([y.row1, y.row2], m, p)
+        lin = LinPart(Matrix.identity(2, p), mat_mul(mat_inv(r), s))
+        assert lin.apply(x) == y
+        return lin
+    (v0, v1), w = simple_factorize(x)
+    (u0, u1), wq = simple_factorize(y)
+    for d in d8_elements(p):
+        img = (
+            (v0 * d[0, 0] + v1 * d[1, 0]) % p,
+            (v0 * d[0, 1] + v1 * d[1, 1]) % p,
+        )
+        # img must be proportional to (u0, u1)
+        if (img[0] * u1 - img[1] * u0) % p != 0:
+            continue
+        c = (
+            img[0] * fp_inv(u0, p) % p if u0 else img[1] * fp_inv(u1, p) % p
+        )
+        if c == 0:
+            continue
+        target = tuple(fp_inv(c, p) * t % p for t in wq)
+        r = complete_basis([w], m, p)
+        s = complete_basis([target], m, p)
+        lin = LinPart(d, mat_mul(mat_inv(r), s))
+        if lin.apply(x) == y:
+            return lin
+    return None
+
+
+# ---------------------------------------------------------------------------
+# projections and parallel cliques, one tensor at a time
+
+
+@dataclass(frozen=True)
+class CliqueId:
+    """Parallel class index i plus any member vertex of the clique."""
+
+    i: int
+    rep: int
+
+
+def pi_projection(x: Tensor, i: int, cfg: MuConfig) -> tuple[int, ...]:
+    """The W-part of x attached to direction mu_i."""
+    if (x.m, x.p) != (cfg.m, cfg.p):
+        raise DegenerateConfig("tensor and configuration disagree")
+    alpha, beta = pi_functional(cfg, i)
+    p = cfg.p
+    return tuple((alpha * a + beta * b) % p for a, b in zip(x.row1, x.row2))
+
+
+def tensor_from_projections(
+    i: int, j: int, w, wq, cfg: MuConfig
+) -> Tensor:
+    """The unique x with pi_i(x) = w and pi_j(x) = wq.
+
+    Built through the coefficient relations back to the first pair, as in
+    the uniqueness argument.
+    """
+    k1, k1q = projection_coeffs(i, j, 1, cfg)
+    k2, k2q = projection_coeffs(i, j, 2, cfg)
+    p = cfg.p
+    pi1 = tuple((k1 * a + k1q * b) % p for a, b in zip(w, wq))
+    pi2 = tuple((k2 * a + k2q * b) % p for a, b in zip(w, wq))
+    mu1, mu2 = cfg.mu(1), cfg.mu(2)
+    r1 = tuple((a + b) % p for a, b in zip(pi1, pi2))
+    r2 = tuple((mu1 * a + mu2 * b) % p for a, b in zip(pi1, pi2))
+    return Tensor.from_rows(r1, r2, p)
+
+
+def ell_clique(clique: CliqueId, cfg: MuConfig) -> frozenset[int]:
+    """All vertices sharing the i-th projection with the representative.
+
+    That is the coset rep + ker pi_i = rep + W E_i', with i' the partner of i
+    (see ``verify_clique_axioms``).
+    """
+    n = num_vertices(cfg.m, cfg.p)
+    if not 0 <= clique.rep < n:
+        raise IndexOutOfRange(f"representative {clique.rep} outside 0..{n - 1}")
+    rep = Tensor.from_index(clique.rep, cfg.m, cfg.p).coords.array
+    coset = rep + _block(cfg, cfg.partner(clique.i))
+    return frozenset(encode_array(coset, cfg.p).tolist())
+
+
+# ---------------------------------------------------------------------------
+# cross-ratio closed forms
+
+
+KLEIN_FOUR = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+
+
+def permuted_cross_ratio(sigma, r, p: int):
+    """Cross-ratio after renaming the four points by sigma (image tuple)."""
+    sigma = tuple(sigma)
+    if sigma not in PERMUTATION_ROWS:
+        raise ValueError(f"not a permutation of 4 labels: {sigma}")
+    return apply_formula(PERMUTATION_ROWS[sigma], r, p)
+
+
+def klein_four_classifier(sigma) -> bool:
+    """True iff sigma is the identity or a double transposition."""
+    return tuple(sigma) in KLEIN_FOUR
+
+
+def lambda_quad_cross_ratio(lam: int, p: int):
+    """Closed form (lam^2-1)^2 / (lam^2+1)^2 for the direction quadruple."""
+    lam %= p
+    num = (lam * lam - 1) ** 2 % p
+    den = (lam * lam + 1) ** 2 % p
+    if den == 0:
+        return INFINITY
+    return num * fp_inv(den, p) % p
+
+
+# ---------------------------------------------------------------------------
+# GL(2,p) stabilizers and the obstruction residues
+
+
+def realized(ds: DirectionSet) -> frozenset[tuple[int, int]]:
+    """Union of the one-spaces of a direction set, minus zero."""
+    p = ds.p
+    out = set()
+    for d in ds.points:
+        v = (0, 1) if d is INFINITY else (1, int(d) % p)
+        for k in range(1, p):
+            out.add(((k * v[0]) % p, (k * v[1]) % p))
+    return frozenset(out)
+
+
+def setwise_stabilizer_gl2(ds: DirectionSet) -> list[Matrix]:
+    """All A in GL(2,p) mapping the realized vector set onto itself.
+
+    The realized set is a union of one-spaces, so A stabilizes it iff its
+    class permutes the directions; every stabilizer therefore holds the
+    p-1 scalar multiples of each of its classes.
+    """
+    return _gl_lift(pgl2_stabilizer(ds.codes, ds.p), ds.p)
+
+
+def lambda_obstructions(lam: int, p: int) -> set[int]:
+    """Residues mod p of the obstruction polynomials at lam.
+
+    Requires lam^4 outside {0, 1} mod p (otherwise the direction quadruple
+    is degenerate and the rigidity dichotomy does not apply).
+    """
+    if pow(lam % p, 4, p) in (0, 1):
+        raise DegenerateLambda(f"lambda^4 in {{0,1}} mod {p} for lambda={lam}")
+    return {v % p for v in obstruction_polynomials(lam)}
+
+
+# ---------------------------------------------------------------------------
+# arcs and vertex permutations, one vertex at a time
+
+
+def difference_index(x: int, y: int, m: int, p: int) -> int:
+    """Vertex index of x - y; raises IndexOutOfRange outside the vertices."""
+    n = num_vertices(m, p)
+    (u1, u2), (v1, v2) = decode_index(_vertex(x, n), m, p), decode_index(_vertex(y, n), m, p)
+    return encode_coords([a - b for a, b in zip(u1 + u2, v1 + v2)], p)
+
+
+def is_arc(x: int, y: int, s: ConnectionSet) -> bool:
+    """Arc test: x - y in S."""
+    return difference_index(x, y, s.m, s.p) in s
+
+
+def permutation_from_linear(lin, m: int, p: int) -> VertexPermutation:
+    """The vertex permutation of the product action of a LinPart or (a, b)."""
+    a, b = (lin.a, lin.b) if isinstance(lin, LinPart) else lin
+    return VertexPermutation(linear_vertex_map(a, b, m, p), m, p)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,28 @@ def test_rank_over_the_scan_ceiling_exits_1_before_building_a_class(capsys, monk
     assert err.startswith("error:") and p in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "lemma", "connectivity"), ("verify", "lemma", "hamming-A"), ("suborbits",)],
+    ids=["connectivity", "hamming-A", "suborbits"],
+)
+def test_a_vertex_lemma_over_the_vertex_gate_exits_1_before_building_a_class(
+    capsys, monkeypatch, argv
+):
+    # at p = 1000003 the lambda classes took 4.4-6.2 s and 208 MB before
+    # the classification gate refused
+    def refuse(p):
+        raise AssertionError("lambda classes built")
+
+    monkeypatch.setattr(groups, "lambda_classes", refuse)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--p", "1000003")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "refused" in err and err.count("\n") == 1
+
+
 def test_a_slope_list_starting_with_minus_is_read_as_its_value(capsys):
     # argparse takes "-1,2,3,4" for a flag unless the cli joins it to --mu
     argv = ("verify", "cliques", "--p", "7", "--format", "json")
@@ -197,7 +220,8 @@ def test_the_hamming_lemma_leaves_numpy_ma_unimported():
 def test_the_cli_runs_in_one_thread_and_the_package_loads_no_numpy():
     # numpy starts its BLAS pool when it loads, so the cli's pin works only
     # if nothing imported numpy first; a host's own setting is overridden.
-    # OpenSSL (_hashlib) is loaded only when a report is hashed.
+    # The report hash is CPython's built-in SHA-256: OpenSSL (_hashlib) is
+    # never loaded.
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         "import os, sys; import orbicert; print('numpy' in sys.modules); "
@@ -218,6 +242,40 @@ def test_the_cli_runs_in_one_thread_and_the_package_loads_no_numpy():
     if not threads:
         pytest.skip("no /proc/self/task to count threads")
     assert threads == "1"
+
+
+def _run_python(code):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return run.stdout.splitlines()
+
+
+def test_a_full_json_command_loads_no_openssl():
+    # OpenSSL costs about 3.5 MB resident and 4 ms in each command
+    out = _run_python(
+        "import contextlib, io, json, sys; from orbicert.cli import main; buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf):\n"
+        "    code = main(['verify', 'theorem-q13', '--format', 'json'])\n"
+        "print(code); print('_hashlib' in sys.modules)\n"
+        "print(json.loads(buf.getvalue())['content_hash'])"
+    )
+    assert out == ["0", "False", REFERENCE["witness"]["verify theorem-q13"]]
+
+
+def test_a_build_without_the_builtin_sha256_hashes_through_hashlib():
+    # a None entry in sys.modules makes its import raise ImportError
+    out = _run_python(
+        "import contextlib, hashlib, io, json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from orbicert import report; from orbicert.cli import main; buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf):\n"
+        "    code = main(['verify', 'two-closed', '--p', '7', '--format', 'json'])\n"
+        "print(code); print(report.sha256 is hashlib.sha256)\n"
+        "print(json.loads(buf.getvalue())['content_hash'])"
+    )
+    assert out == ["0", "True", PINNED["verify two-closed --p 7"]]
 
 
 def test_certification_error_exit_1(capsys, monkeypatch):

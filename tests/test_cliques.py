@@ -11,19 +11,17 @@ import orbicert.cliques as cliques
 import orbicert.digraphs as digraphs
 import orbicert.matrices as matrices
 from orbicert.cliques import (
-    CliqueId,
     MuConfig,
     bruck_bound,
     delta_connection_set,
-    ell_clique,
-    pi_projection,
     projection_coeffs,
-    tensor_from_projections,
     verify_clique_axioms,
 )
 from orbicert.errors import DegenerateConfig, IndexOutOfRange, LemmaViolation, ParameterTooLarge
 from orbicert.fields import fp_inv
-from orbicert.matrices import Tensor, num_vertices
+from orbicert.matrices import num_vertices
+
+from oracles import CliqueId, Tensor, ell_clique, pi_projection, tensor_from_projections
 
 
 CFG5 = MuConfig(z=4, mus=(1, 2, 3, 4), m=2, p=5)

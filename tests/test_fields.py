@@ -5,15 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbicert.errors import ZeroInverse
-from orbicert.fields import (
-    FpElement,
-    PrimeModulus,
-    fp_inv,
-    fp_normalize,
-    fp_pow,
-    fp_sqrt_minus_one,
-    is_prime,
-)
+from orbicert.fields import PrimeModulus, fp_inv, fp_sqrt_minus_one, is_prime
+
+from oracles import FpElement, fp_normalize, fp_pow
 
 SMALL_PRIMES = [p for p in range(3, 200) if is_prime(p)]
 

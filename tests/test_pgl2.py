@@ -20,26 +20,14 @@ from orbicert.certify import (
     direction_set_of_labels,
     obstruction_polynomials,
     search_linear_witness,
-    setwise_stabilizer_gl2,
 )
 from orbicert.crossratio import fractional_action, lambda_quad, projective_line
 from orbicert.digraphs import orbital_union_set
 from orbicert.fields import is_prime
-from orbicert.groups import (
-    LinPart,
-    g0_contains,
-    label_directions,
-    nontrivial_labels,
-    v4_representatives,
-)
-from orbicert.matrices import (
-    Matrix,
-    gl2_enumerate,
-    mat_mul,
-    pgl2_stabilizer,
-    point_code,
-    scalar_normalize,
-)
+from orbicert.groups import g0_contains, label_directions, nontrivial_labels, v4_representatives
+from orbicert.matrices import Matrix, mat_mul, pgl2_stabilizer, point_code, scalar_normalize
+
+from oracles import LinPart, gl2_enumerate, realized, setwise_stabilizer_gl2
 
 PRIMES = (5, 7)
 
@@ -74,7 +62,7 @@ def test_setwise_stabilizers_match_gl2_enumeration(p):
     if p == 7:
         sets.append(DirectionSet((1, 4), 7))  # not dihedral-closed
     for ds in sets:
-        vecs = ds.realized
+        vecs = realized(ds)
         brute = [
             a
             for a in gl2_enumerate(p)

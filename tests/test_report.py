@@ -1,16 +1,19 @@
 """Report serialization: determinism, summaries, guard rails."""
 
+import hashlib
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from orbicert.certify import Certificate, scan_primes
 from orbicert.cliques import MuConfig, delta_connection_set, verify_clique_axioms
 from orbicert.digraphs import is_connected, orbital_union_set
 from orbicert.errors import EmptyUnion, ParameterTooLarge
-from orbicert.groups import suborbit_elements
-from orbicert.matrices import gl2_enumerate
-from orbicert.report import emit_report, report_payload
+from orbicert.report import emit_report, report_payload, sha256
+
+from oracles import gl2_enumerate, suborbit_elements
 
 
 def test_empty_report_skeleton():
@@ -74,7 +77,7 @@ def test_parallel_class_action_consequence(preserves_set):
     # dual route, exhaustive over GL(2,5): a linear map preserves the union
     # of the four direction blocks iff its slope action permutes the slopes
     from orbicert.crossratio import fractional_action
-    from orbicert.groups import LinPart
+    from oracles import LinPart
     from orbicert.matrices import Matrix
 
     cfg = MuConfig(z=4, mus=(1, 2, 3, 4), m=2, p=5)
@@ -85,3 +88,18 @@ def test_parallel_class_action_consequence(preserves_set):
         by_set = preserves_set(LinPart(a, ident), s)
         by_slopes = {fractional_action(a, mu, 5) for mu in cfg.mus} == mu_set
         assert by_set == by_slopes
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.binary(max_size=300))
+# SHA-256 pads to 64-byte blocks: 55 bytes is the longest message whose
+# padding fits its last block, 56 the shortest that takes one more
+@example(b"")
+@example(b"a" * 55)
+@example(b"b" * 56)
+@example(b"c" * 63)
+@example(b"d" * 64)
+@example(b"e" * 65)
+@example(bytes(range(256)) * 390 + bytes(160))  # 10^5 bytes
+def test_the_report_hash_is_hashlib_sha256(data):
+    assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
