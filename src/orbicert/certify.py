@@ -26,12 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cliques import (
-    DEFAULT_SEED,
-    MuConfig,
-    delta_indices,
-    verify_clique_axioms,
-)
+from . import groups
+from .cliques import DEFAULT_SEED, MuConfig, verify_clique_axioms
 from .digraphs import (
     complement_labels,
     hamming_witness,
@@ -55,6 +51,7 @@ from .groups import (
 )
 from .matrices import (
     Matrix,
+    encode_array,
     gl2_count,
     num_vertices,
     pgl2_stabilizer,
@@ -164,6 +161,25 @@ TWO_CLOSED_MU: dict[int, tuple[tuple[int, ...], tuple[str, ...]]] = {
 }
 
 Q17_MUS = (1, 2, 8, 9, 15, 16)
+
+
+def _block(cfg: MuConfig, i: int) -> np.ndarray:
+    """The direction block (e1 + mu_i e2) (x) W: the digit rows [w | mu_i w]
+    as (p^m, 2, m) coordinates, unreduced, for w in W in index order (0
+    first, then e_1)."""
+    p, m = cfg.p, cfg.m
+    w = np.arange(p**m)[:, None] // p ** np.arange(m) % p
+    return np.stack([w, cfg.mu(i) * w], axis=1)
+
+
+def delta_indices(cfg: MuConfig) -> np.ndarray:
+    """The union of the z direction blocks minus 0, sorted.
+
+    These are the z(p^m - 1) rows [w | mu_i w] with w != 0; blocks of
+    distinct slopes meet only in 0.
+    """
+    blocks = [encode_array(_block(cfg, i)[1:], cfg.p) for i in cfg.index_set]
+    return np.sort(np.concatenate(blocks))
 
 
 def certify_two_closed(p: int, m: int, seed: int = DEFAULT_SEED) -> Certificate:
@@ -470,8 +486,8 @@ def certify_not_digraph_group(p: int, m: int) -> Certificate:
     first time a union needs it and shared through a per-run cache, and so
     is the label table of each linear witness's vertex map.
     """
-    if num_vertices(m, p) > 10**6:
-        raise ParameterTooLarge("certification gated to p^(2m) <= 10^6")
+    if num_vertices(m, p) > groups.SUBORBIT_ENUM_MAX:
+        raise ParameterTooLarge(f"certification gated to p^(2m) <= {groups.SUBORBIT_ENUM_MAX}")
     start = time.perf_counter()
     labels = nontrivial_labels(p)
     unions = [

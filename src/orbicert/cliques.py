@@ -8,10 +8,13 @@ blocks, and every vertex x has unique W-parts pi_i(x) with
 
 The level sets ell_i(x) = {y : pi_i(y) = pi_i(x)} are the maximum cliques
 of the Cayley graph on the union S of the z direction blocks.  On
-row-major digit rows pi_i is the 2m x m matrix Pi_i over F_p, and the
-block of mu_i is the row space of E_i = [I | mu_i I].
-``verify_clique_axioms`` checks that geometry exactly at every prime, by
-matrix identities and symmetry, with no sampling and no table of the
+row-major digit rows pi_i is the 2m x m matrix Pi_i = P_i (x) I_m over
+F_p, with P_i = (alpha_i, beta_i)^T from ``pi_functional``, and the block
+of mu_i is the row space of E_i = (1, mu_i) (x) I_m.  As
+(X (x) I_m)(Y (x) I_m) = XY (x) I_m, each identity among them holds iff
+the identity of its 2 x 2, 2 x 1 or 1 x 2 factor holds, so
+``verify_clique_axioms`` checks that geometry exactly at every prime on
+the factors, in Python ints, with no sampling and no table of the
 vertices.  Each check's ``instances_checked`` counts what it certifies,
 n = p^(2m) vertices:
 
@@ -27,8 +30,9 @@ n = p^(2m) vertices:
 
 The first three are matrix identities (a matrix map is linear), the next
 three follow from them by a right inverse of [Pi_i | Pi_j], the next two
-from a check at 0 by translation, and the census from Bruck's bound on
-the net that the ell-cliques form (see ``verify_clique_axioms``).
+from the kernel identity E_i' Pi_i = 0 and translation, and the census
+from Bruck's bound on the net that the ell-cliques form (see
+``verify_clique_axioms``).
 """
 
 from __future__ import annotations
@@ -36,12 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
-import numpy as np
-
-from .digraphs import ConnectionSet
 from .errors import DegenerateConfig, IndexOutOfRange, LemmaViolation
 from .fields import fp_inv
-from .matrices import direction_matrix, encode_array, vertex_table_size
+from .matrices import vertex_table_size
 
 DEFAULT_SEED = 1729
 
@@ -121,35 +122,6 @@ def projection_coeffs(i: int, j: int, k: int, cfg: MuConfig) -> tuple[int, int]:
     return k1, k2
 
 
-def pi_matrix(cfg: MuConfig, i: int) -> np.ndarray:
-    """Pi_i = (alpha, beta)^T (x) I_m for the ``pi_functional`` (alpha, beta):
-    the 2m x m matrix with pi_i(x) = x Pi_i on row-major digit rows."""
-    return direction_matrix(pi_functional(cfg, i), cfg.m).T
-
-
-def _block(cfg: MuConfig, i: int) -> np.ndarray:
-    """The direction block (e1 + mu_i e2) (x) W: the rows w E_i as (p^m, 2, m)
-    coordinates, unreduced, for w in W in index order (0 first, then e_1);
-    E_i = [I | mu_i I] is the direction matrix of e1 + mu_i e2."""
-    p, m = cfg.p, cfg.m
-    w = np.arange(p**m)[:, None] // p ** np.arange(m) % p
-    return (w @ direction_matrix((1, cfg.mu(i)), m)).reshape(-1, 2, m)
-
-
-def delta_indices(cfg: MuConfig) -> np.ndarray:
-    """The union of the z direction blocks minus 0, sorted.
-
-    These are the z(p^m - 1) rows w E_i with w != 0; blocks of distinct
-    slopes meet only in 0.
-    """
-    blocks = [encode_array(_block(cfg, i)[1:], cfg.p) for i in cfg.index_set]
-    return np.sort(np.concatenate(blocks))
-
-
-def delta_connection_set(cfg: MuConfig) -> ConnectionSet:
-    return ConnectionSet(delta_indices(cfg), cfg.m, cfg.p)
-
-
 def bruck_bound(z: int) -> int:
     """(z - 1)^2: in a net with z parallel classes, a clique that lies in no
     line has at most this many points (see ``verify_clique_axioms``)."""
@@ -159,12 +131,14 @@ def bruck_bound(z: int) -> int:
 def verify_clique_axioms(cfg: MuConfig, seed: int = DEFAULT_SEED) -> dict:
     """Check the projection/clique geometry exactly; ``seed`` is only echoed.
 
-    pi_i is the matrix Pi_i (``pi_matrix``), so it is linear, and a matrix
-    identity holds at every vertex; its first bad row k names the basis
-    vertex p^k.  Checked: reconstruction Pi_i E_i + Pi_j E_j = I for each
-    odd pair (i, j), and the relations Pi_k = k1 Pi_i + k2 Pi_j of
-    ``projection_coeffs``.  The pair (1, 2), which the argument below
-    starts from, is checked first, and the other pairs after the relations.
+    pi_i is the matrix Pi_i = P_i (x) I_m, so it is linear, and a matrix
+    identity holds at every vertex.  Each identity X (x) I_m = 0 is checked
+    on its factor X; row r of X stands for rows r m .. r m + m - 1, so a bad
+    row r names the basis vertex p^(r m).  Checked: reconstruction
+    P_i E_i + P_j E_j = I_2 for each odd pair (i, j), E_i = (1, mu_i), and
+    the relations P_k = k1 P_i + k2 P_j of ``projection_coeffs``.  The pair
+    (1, 2), which the argument below starts from, is checked first, and the
+    other pairs after the relations.
 
     Right inverse: with Pi_1 = a Pi_i + b Pi_j and Pi_2 = c Pi_i + d Pi_j,
     reconstruction of (1, 2) reads [Pi_i | Pi_j] R = I, R the stack of
@@ -172,19 +146,21 @@ def verify_clique_axioms(cfg: MuConfig, seed: int = DEFAULT_SEED) -> dict:
     all i != j: two projections determine a vertex, an ell_i- and an
     ell_j-clique meet in one vertex, and the p^m fibres of pi_i partition
     T.  For an odd pair (i, i'), the stack of E_i over E_i' is then the
-    two-sided inverse of [Pi_i | Pi_i'], so E_i' Pi_i = 0: ker pi_i is the
-    p^m rows w E_i'.
+    two-sided inverse of [Pi_i | Pi_i'], so E_i' Pi_i = 0, and as both have
+    rank m, ker pi_i is the p^m rows w E_i'.
 
-    Translation by -x is an automorphism of Cay(T, S) that maps ell-cliques
-    to ell-cliques, so adjacency is checked at 0.  S is built from the rows
-    w E_i, w != 0 (``delta_indices``), and adjacency iff a shared projection
-    is S = the union of the kernels minus 0; a kernel, a subgroup inside
-    S + 0, is a clique.  The S-based check keeps the n-entry mask of
-    ``ConnectionSet``: the identity E_i' Pi_i = 0 would replace it, but
-    the mask's ``vertex_table_size`` gate is what bounds m and p here, so
-    it runs first, before the blocks of p^m rows are built.  Without it a
-    huge m would build 2m x 2m matrices of any size, and p near 2^31
-    would overflow the int64 sums in ``pis[k] @ E``.
+    That identity is (alpha_i + mu_i' beta_i) I_m, checked as a scalar; a
+    failure names the block's row (e1 + mu_i' e2) (x) e_1, vertex
+    1 + mu_i' p^m.  The partner map permutes the indices, so S, the z
+    blocks minus 0, is the union of the kernels minus 0, with z (p^m - 1)
+    members, as blocks of distinct slopes meet only in 0.  So x - y is in S
+    iff some pi_i(x - y) = pi_i(x) - pi_i(y) is 0: adjacent iff a shared
+    projection.  A kernel, a subgroup inside S + 0, is a clique, and so is
+    each ell-clique, a coset of one.
+
+    No vertex array is built, and Python ints cannot overflow.  Until one
+    resource budget covers every stage, the gate of ``vertex_table_size``,
+    which counts the n vertices, is the only bound on m and p here.
 
     Census of the maximal cliques of size >= p^m, by Bruck's bound (R. H.
     Bruck, "Finite nets. II. Uniqueness and imbedding", Pacific J. Math. 13,
@@ -211,7 +187,7 @@ def verify_clique_axioms(cfg: MuConfig, seed: int = DEFAULT_SEED) -> dict:
     if p <= z:
         raise DegenerateConfig(f"rigidity geometry needs p > z, got p={p}, z={z}")
     n, qm = vertex_table_size(m, p), p**m
-    pis = {i: pi_matrix(cfg, i) for i in cfg.index_set}
+    pis = {i: pi_functional(cfg, i) for i in cfg.index_set}
     checks: dict[str, dict] = {}
 
     def record(name: str, instances: int, **extra):
@@ -222,14 +198,17 @@ def verify_clique_axioms(cfg: MuConfig, seed: int = DEFAULT_SEED) -> dict:
             **extra,
         }
 
-    def require_zero(stage: str, diff: np.ndarray, **where):
-        bad = (diff % p != 0).any(axis=1)
-        if bad.any():
-            raise LemmaViolation(stage, {**where, "vertex": int(p ** bad.argmax())})
+    def require_zero(stage: str, rows, **where):
+        for r, row in enumerate(rows):
+            if any(v % p for v in row):
+                raise LemmaViolation(stage, {**where, "vertex": p ** (r * m)})
 
     def reconstruct(i: int):
-        rebuilt = sum(pis[k] @ direction_matrix((1, cfg.mu(k)), m) for k in (i, i + 1))
-        require_zero("reconstruction", rebuilt - np.eye(2 * m, dtype=np.int64), pair=(i, i + 1))
+        e = {k: (1, cfg.mu(k)) for k in (i, i + 1)}
+        rebuilt = [
+            [sum(pis[k][r] * e[k][c] for k in e) - (r == c) for c in (0, 1)] for r in (0, 1)
+        ]
+        require_zero("reconstruction", rebuilt, pair=(i, i + 1))
 
     record("projection_linearity", n * n + p * n)
     reconstruct(1)
@@ -240,8 +219,8 @@ def verify_clique_axioms(cfg: MuConfig, seed: int = DEFAULT_SEED) -> dict:
                 raise LemmaViolation(
                     "projection-relations-nonzero", {"triple": (i, j, k), "coeffs": (k1, k2)}
                 )
-            rhs = k1 * pis[i] + k2 * pis[j]
-            require_zero("projection-relations", pis[k] - rhs, triple=(i, j, k))
+            diff = [[pis[k][r] - k1 * pis[i][r] - k2 * pis[j][r]] for r in (0, 1)]
+            require_zero("projection-relations", diff, triple=(i, j, k))
     for i in range(3, z + 1, 2):
         reconstruct(i)
     record("reconstruction", n * (z // 2))
@@ -251,16 +230,13 @@ def verify_clique_axioms(cfg: MuConfig, seed: int = DEFAULT_SEED) -> dict:
     record("clique_intersection", qm * qm * z * (z - 1) // 2)
     record("parallel_partition", z * n)
 
-    # --- at 0: x - y is in S iff some pi_i(x - y) = pi_i(x) - pi_i(y) is 0.
-    # ker pi_i = W E_i' holds 0 in row 0 of its block and s_i' in row 1.
-    s = delta_connection_set(cfg)
-    kernels = [encode_array(_block(cfg, cfg.partner(i)), p) for i in cfg.index_set]
-    union = np.concatenate([kernel[1:] for kernel in kernels])
-    digits = s.digits()
-    vanish = np.any([((pi.T @ digits) % p == 0).all(axis=0) for pi in pis.values()], axis=0)
-    bad = np.concatenate([union[~s.mask[union]], s.members[~vanish]])
-    if bad.size:
-        raise LemmaViolation("adjacency-shared-projection", {"x": int(bad.min()), "y": 0})
+    # ker pi_i is the block of the partner slope: E_i' Pi_i = 0
+    for i in cfg.index_set:
+        alpha, beta = pis[i]
+        mu = cfg.mu(cfg.partner(i))
+        if (alpha + mu * beta) % p:
+            where = {"kernel": i, "vertex": 1 + mu * qm}
+            raise LemmaViolation("adjacency-shared-projection", where)
     record("adjacency_iff_shared_projection", n * n)
     record("cliques_are_cliques", z * qm)
 
@@ -274,6 +250,6 @@ def verify_clique_axioms(cfg: MuConfig, seed: int = DEFAULT_SEED) -> dict:
         "mode": "exhaustive",
         "seed": int(seed),
         "vertices": int(n),
-        "connection_set_size": len(s),
+        "connection_set_size": z * (qm - 1),
         "checks": checks,
     }

@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from .errors import DegenerateQuad, InvalidConfig, ParameterTooLarge, TableViolation
+from .errors import DegenerateQuad, InvalidConfig, LemmaViolation, ParameterTooLarge, TableViolation
 from .fields import INFINITY, MAX_PRIME, fp_inv
 from .matrices import Matrix
 
@@ -153,7 +153,8 @@ def verify_table1(p: int) -> dict:
         raise InvalidConfig(f"the table needs at least 6 points on the line, p={p}")
     if p > MAX_PRIME:
         raise ParameterTooLarge(f"table at p = {p} refused (limit p <= {MAX_PRIME})")
-    line = np.array([homogeneous(t, p) for t in projective_line(p)], dtype=np.int64)
+    points = projective_line(p)
+    line = np.array([homogeneous(t, p) for t in points], dtype=np.int64)
     quads = np.array([(p, 0, 1, x) for x in range(2, p)], dtype=np.int64)
     inv = np.array([0] + [fp_inv(v, p) for v in range(1, p)], dtype=np.int64)
 
@@ -163,11 +164,17 @@ def verify_table1(p: int) -> dict:
 
     def cr(q):
         den = det(1, 2, q) * det(0, 3, q) % p
-        assert den.all()  # pairwise-distinct points
+        if not den.all():  # a frame with two equal points
+            quad = tuple(points[k] for k in q[den.argmin()])
+            raise LemmaViolation("table1-distinct-points", {"quad": quad})
         return det(0, 2, q) * det(1, 3, q) % p * inv[den] % p
 
     r = cr(quads)
-    assert not np.isin(r, [0, 1]).any()
+    degenerate = np.isin(r, [0, 1])
+    if degenerate.any():
+        i = degenerate.argmax()
+        quad = tuple(points[k] for k in quads[i])
+        raise LemmaViolation("table1-cross-ratio", {"quad": quad, "cross_ratio": int(r[i])})
     formulas = {
         "r": r,
         "r/(r-1)": r * inv[(r - 1) % p] % p,
@@ -181,7 +188,7 @@ def verify_table1(p: int) -> dict:
         bad = np.nonzero(direct != formulas[row])[0]
         if bad.size:
             i = bad[0]
-            quad = tuple(projective_line(p)[k] for k in quads[i])
+            quad = tuple(points[k] for k in quads[i])
             raise TableViolation(sigma, quad, int(formulas[row][i]), int(direct[i]))
     return {
         "p": p,
@@ -220,7 +227,8 @@ def check_v4_collineations(p: int) -> dict:
             continue
         quad = lambda_quad(lam, p)
         for sigma, mat in v4_collineations(p).items():
-            assert mat in d8
+            if mat not in d8:
+                raise LemmaViolation("table3-dihedral", {"sigma": sigma, "matrix": mat})
             images = tuple(fractional_action(mat, t, p) for t in quad)
             if images != permute_quad(sigma, quad):
                 raise TableViolation(sigma, quad, permute_quad(sigma, quad), images)

@@ -7,9 +7,9 @@ anyway.  Adjacency is answered from a membership bitmap over the p^(2m)
 vertices rather than materialized arc lists.
 
 The Hamming lemma needs no table of the vertices: along two directions the
-splitting x = v1 (x) a + v2 (x) b is a pair of 2m x 2m matrices, and
-``hamming_check`` proves Cay(T, S) = H(2, p^m) from three checks on them
-and on the members of S.
+splitting x = v1 (x) a + v2 (x) b is a pair of 2 x 2 factors g and h,
+acting as g (x) I_m and h (x) I_m, and ``hamming_check`` proves
+Cay(T, S) = H(2, p^m) from three checks on them and on the members of S.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .matrices import (
     Matrix,
     decode_planes,
     digit_planes,
-    direction_matrix,
     encode_array,
     linear_vertex_map,
     mat_inv,
@@ -293,34 +292,31 @@ class VertexPermutation:
 #
 # Along distinct directions d1, d2 with lifts v1, v2, each vertex is
 # x = v1 (x) a + v2 (x) b for one pair (a, b) of W.  On row-major digit rows
-# the splitting is [a | b] G = x and x H = [a | b] for two 2m x 2m matrices,
-# so neither the lemma nor the witness tabulates the vertices' coordinates.
+# the splitting is [a | b] (g (x) I_m) = x and x (h (x) I_m) = [a | b] for
+# two 2 x 2 factors g and h, and (h (x) I_m)(g (x) I_m) = hg (x) I_m, so
+# neither the lemma nor the witness tabulates the vertices' coordinates.
 
 
-def _splitting(d1, d2, m: int, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(G, H) for the splitting along d1, d2.
-
-    G stacks the direction matrices [v0 I | v1 I] of v1 over v2, so
-    [a | b] G = x; H = inv(D)^T (x) I_m for D = (v1 | v2), so x H = [a | b].
-    """
+def _splitting(d1, d2, p: int) -> tuple[Matrix, Matrix]:
+    """(g, h) for the splitting along d1, d2: g = D^T for D = (v1 | v2), whose
+    rows are v1 and v2, and h = inv(D)^T = inv(g)."""
     if d1 == d2 or (d1 is INFINITY and d2 is INFINITY):
         raise BadDecomposition("directions must be distinct")
-    v1 = homogeneous(d1, p)
-    v2 = homogeneous(d2, p)
-    mat = Matrix(((v1[0], v2[0]), (v1[1], v2[1])), p)
-    if not mat.is_invertible():
+    g = Matrix((homogeneous(d1, p), homogeneous(d2, p)), p)
+    if not g.is_invertible():
         raise BadDecomposition("directions do not span the 2-dimensional factor")
-    g = np.vstack([direction_matrix(v1, m), direction_matrix(v2, m)])
-    return g, np.kron(mat_inv(mat).array.T, np.eye(m, dtype=np.int64))
+    return g, mat_inv(g)
 
 
 def hamming_check(s: ConnectionSet, d1, d2) -> bool:
     """Certify Cay(T, S) isomorphic to the Hamming graph H(2, p^m).
 
-    With (G, H) the splitting along d1, d2 (``_splitting``), three checks:
+    With (g, h) the splitting along d1, d2 (``_splitting``) and
+    H = h (x) I_m, three checks:
 
-    1. H G = I (mod p);
-    2. every member of S has exactly one zero half in its coordinates x H;
+    1. h g = I_2 (mod p), so H G = I for G = g (x) I_m;
+    2. every member of S has exactly one zero half in its coordinates
+       x H = [h00 r1 + h10 r2 | h01 r1 + h11 r2], for x = [r1 | r2];
     3. |S| = 2(p^m - 1).
 
     They prove the isomorphism x -> (code(a), code(b)) for [a | b] = x H.
@@ -336,10 +332,12 @@ def hamming_check(s: ConnectionSet, d1, d2) -> bool:
     if the directions do not split the tensor space.
     """
     m, p = s.m, s.p
-    g, h = _splitting(d1, d2, m, p)
-    if ((h @ g - np.eye(2 * m, dtype=np.int64)) % p).any():
+    g, h = _splitting(d1, d2, p)
+    if h * g != Matrix.identity(2, p):
         return False
-    nonzero = (h.T @ s.digits() % p).reshape(2, m, len(s)).any(axis=1)
+    digits = s.digits().astype(np.int64)
+    r1, r2 = digits[:m], digits[m:]
+    nonzero = [((h[0, c] * r1 + h[1, c] * r2) % p).any(axis=0) for c in (0, 1)]
     if not (nonzero[0] ^ nonzero[1]).all() or len(s) != 2 * (p**m - 1):
         raise BadDecomposition("S is not the union of the two direction blocks")
     return True
@@ -351,18 +349,20 @@ def hamming_witness(d1, d2, m: int, p: int) -> VertexPermutation:
     Acts in Hamming coordinates by transposing a = f_1 and a = 2 f_1 (the
     W-codes 1 and 2) for every b, and fixes every other vertex; any
     non-linear permutation of one side works, this one is the canonical
-    choice.  The 2 p^m moved vertices are the rows c f_1 G_1 + b G_2,
-    c in {1, 2}, of the splitting matrix G = (G_1 over G_2), and none is 0.
-    Only builds the permutation: the caller certifies it on its own
-    connection set with ``is_automorphism``, which checks the arcs that
+    choice.  The 2 p^m moved vertices are c v1 (x) f_1 + v2 (x) b,
+    c in {1, 2}, with v1 and v2 the rows of the splitting factor g, and
+    none is 0.  Only builds the permutation: the caller certifies it on its
+    own connection set with ``is_automorphism``, which checks the arcs that
     leave those moved vertices, for every t in S, and
     ``nonadditive_witness``.
     """
     n = vertex_table_size(m, p)  # refused before the n-entry mapping
-    g, _ = _splitting(d1, d2, m, p)
+    g, _ = _splitting(d1, d2, p)
+    v1, v2 = np.array(g.entries)[:, :, None]
     w = np.arange(p**m)[:, None] // p ** np.arange(m) % p
-    side = w @ g[m:]  # the digit rows of v2 (x) b, b in index order
-    one, two = (encode_array((side + c * g[0]).reshape(-1, 2, m), p) for c in (1, 2))
+    side = v2 * w[:, None]  # v2 (x) b as (p^m, 2, m) coordinates, b in index order
+    f1 = v1 * (np.arange(m) == 0)  # v1 (x) f_1
+    one, two = (encode_array(side + c * f1, p) for c in (1, 2))
     mapping = np.arange(n, dtype=np.int32)
     mapping[one], mapping[two] = two, one
     return VertexPermutation(mapping, m, p)

@@ -15,7 +15,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ParameterTooLarge, ZeroLambda
+from .errors import LemmaViolation, ParameterTooLarge, ZeroLambda
 from .fields import INFINITY, MAX_PRIME, fp_inv
 from .matrices import Matrix, digit_planes, mat_mul, num_vertices, scalar_normalize
 
@@ -58,7 +58,8 @@ def d8_elements(p: int) -> D8Group:
                     elems.add(mg)
                     nxt.append(mg)
         frontier = nxt
-    assert len(elems) == 8
+    if len(elems) != 8:
+        raise LemmaViolation("d8-order", {"p": p, "order": len(elems)})
     return D8Group(tuple(sorted(elems, key=lambda m: m.entries)), p)
 
 

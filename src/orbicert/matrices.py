@@ -257,12 +257,6 @@ def encode_array(coords: np.ndarray, p: int) -> np.ndarray:
     return (flat % p) @ radix
 
 
-def direction_matrix(v, m: int) -> np.ndarray:
-    """(v0, v1) (x) I_m = [v0 I | v1 I], the m x 2m matrix whose row w is the
-    row-major digit row of the simple tensor (v0 e1 + v1 e2) (x) w."""
-    return np.kron([[int(v[0]), int(v[1])]], np.eye(m, dtype=np.int64))
-
-
 def product_image(planes: np.ndarray, a: Matrix, b: Matrix, p: int) -> np.ndarray:
     """int32 vertex indices of the images of (2m, k) digit planes under (a, b).
 

@@ -12,12 +12,24 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import permutations
 
-from orbicert.certify import DirectionSet, _gl_lift, obstruction_polynomials
-from orbicert.cliques import MuConfig, _block, pi_functional, projection_coeffs
+import numpy as np
+
+import orbicert.cliques as cliques
+import orbicert.digraphs as digraphs
+from orbicert.certify import (
+    DirectionSet,
+    _block,
+    _gl_lift,
+    delta_indices,
+    obstruction_polynomials,
+)
+from orbicert.cliques import MuConfig, pi_functional, projection_coeffs
 from orbicert.crossratio import PERMUTATION_ROWS, apply_formula
 from orbicert.digraphs import ConnectionSet, VertexPermutation, _vertex
 from orbicert.errors import (
+    BadDecomposition,
     DegenerateConfig,
     DegenerateLambda,
     DimensionMismatch,
@@ -557,6 +569,96 @@ def ell_clique(clique: CliqueId, cfg: MuConfig) -> frozenset[int]:
     rep = Tensor.from_index(clique.rep, cfg.m, cfg.p).coords.array
     coset = rep + _block(cfg, cfg.partner(clique.i))
     return frozenset(encode_array(coset, cfg.p).tolist())
+
+
+def delta_connection_set(cfg: MuConfig) -> ConnectionSet:
+    """S: the union of the z direction blocks minus 0, as a connection set."""
+    return ConnectionSet(delta_indices(cfg), cfg.m, cfg.p)
+
+
+# ---------------------------------------------------------------------------
+# the clique and Hamming identities as 2m x 2m matrices
+#
+# ``verify_clique_axioms`` and ``hamming_check`` test each identity on the
+# 2 x 2, 2 x 1 or 1 x 2 factor X of a Kronecker product X (x) I_m.  These
+# oracles test the products themselves, in int64, reading the factors
+# through the package's module attributes, so a patched factor reaches
+# both.
+
+
+def direction_matrix(v, m: int) -> np.ndarray:
+    """(v0, v1) (x) I_m = [v0 I | v1 I], the m x 2m matrix whose row w is the
+    row-major digit row of the simple tensor (v0 e1 + v1 e2) (x) w."""
+    return np.kron([[int(v[0]), int(v[1])]], np.eye(m, dtype=np.int64))
+
+
+def pi_matrix(cfg: MuConfig, i: int) -> np.ndarray:
+    """Pi_i = (alpha, beta)^T (x) I_m for the ``pi_functional`` (alpha, beta):
+    the 2m x m matrix with pi_i(x) = x Pi_i on row-major digit rows."""
+    return direction_matrix(cliques.pi_functional(cfg, i), cfg.m).T
+
+
+def clique_identities_2m(cfg: MuConfig) -> tuple[str, dict] | None:
+    """(stage, counterexample) of the first identity of
+    ``verify_clique_axioms`` that fails as a 2m-row matrix identity, in the
+    verifier's order, or None.
+
+    A bad row names the vertex whose digit row it is: p^k for row k of a
+    2m x 2m identity, and row k of E_i' for the kernel E_i' Pi_i = 0.
+    """
+    p, m, z = cfg.p, cfg.m, cfg.z
+    pis = {i: pi_matrix(cfg, i) for i in cfg.index_set}
+    eye = np.eye(2 * m, dtype=np.int64)
+
+    def failure(stage, diff, rows, **where):
+        bad = (diff % p != 0).any(axis=1)
+        if bad.any():
+            return stage, {**where, "vertex": encode_coords(rows[bad.argmax()].tolist(), p)}
+        return None
+
+    def reconstruct(i):
+        rebuilt = sum(pis[k] @ direction_matrix((1, cfg.mu(k)), m) for k in (i, i + 1))
+        return failure("reconstruction", rebuilt - eye, eye, pair=(i, i + 1))
+
+    def relations():
+        for i, j in permutations(cfg.index_set, 2):
+            for k in cfg.index_set:
+                k1, k2 = cliques.projection_coeffs(i, j, k, cfg)
+                where = {"triple": (i, j, k)}
+                if k not in (i, j) and (k1 == 0 or k2 == 0):
+                    return "projection-relations-nonzero", {**where, "coeffs": (k1, k2)}
+                diff = pis[k] - k1 * pis[i] - k2 * pis[j]
+                bad = failure("projection-relations", diff, eye, **where)
+                if bad:
+                    return bad
+        return None
+
+    def kernels():
+        for i in cfg.index_set:
+            e = direction_matrix((1, cfg.mu(cfg.partner(i))), m)
+            bad = failure("adjacency-shared-projection", e @ pis[i], e, kernel=i)
+            if bad:
+                return bad
+        return None
+
+    others = map(reconstruct, range(3, z + 1, 2))
+    return reconstruct(1) or relations() or next(filter(None, others), None) or kernels()
+
+
+def hamming_check_2m(s: ConnectionSet, d1, d2) -> bool:
+    """``hamming_check`` on the 2m x 2m matrices G, the direction matrices of
+    the rows v1, v2 of the splitting factor g, and H = h (x) I_m; raises
+    BadDecomposition where it does."""
+    m, p = s.m, s.p
+    g, h = digraphs._splitting(d1, d2, p)
+    big_g = np.vstack([direction_matrix(v, m) for v in g.entries])
+    big_h = np.kron(h.array, np.eye(m, dtype=np.int64))
+    if ((big_h @ big_g - np.eye(2 * m, dtype=np.int64)) % p).any():
+        return False
+    nonzero = (big_h.T @ s.digits() % p).reshape(2, m, len(s)).any(axis=1)
+    if not (nonzero[0] ^ nonzero[1]).all() or len(s) != 2 * (p**m - 1):
+        raise BadDecomposition("S is not the union of the two direction blocks")
+    return True
 
 
 # ---------------------------------------------------------------------------

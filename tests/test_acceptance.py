@@ -39,7 +39,7 @@ from orbicert.certify import (
     scan_primes,
     stabilizer_intersection_report,
 )
-from orbicert.cliques import MuConfig, delta_connection_set, verify_clique_axioms
+from orbicert.cliques import MuConfig, verify_clique_axioms
 from orbicert.crossratio import cross_ratio, lambda_quad, verify_table1
 from orbicert.digraphs import is_connected, orbital_union_set
 from orbicert.fields import INFINITY
@@ -52,7 +52,7 @@ from orbicert.groups import (
 )
 from orbicert.matrices import Matrix, num_vertices
 
-from oracles import CliqueId, LinPart, ell_clique, lambda_quad_cross_ratio
+from oracles import CliqueId, LinPart, delta_connection_set, ell_clique, lambda_quad_cross_ratio
 
 
 class Budget:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import orbicert.digraphs as digraphs
+import orbicert.groups as groups
 import orbicert.matrices as matrices
 from orbicert.certify import (
     GLGL_WITNESS,
@@ -24,7 +25,7 @@ from orbicert.certify import (
     stabilizer_intersection_report,
 )
 from orbicert.digraphs import VertexPermutation, label_transitions, orbital_union_set
-from orbicert.errors import CertificationFailed, DegenerateLambda
+from orbicert.errors import CertificationFailed, DegenerateLambda, ParameterTooLarge
 from orbicert.fields import INFINITY
 from orbicert.groups import (
     classify_all,
@@ -336,6 +337,18 @@ def test_the_theorem_q13_driver_peaks_under_80_bytes_per_vertex():
     status, peak = run.stdout.split()
     assert status == "verified"
     assert int(peak) <= 80 * 13**4
+
+
+def test_not_digraph_group_reads_the_suborbit_gate(monkeypatch):
+    # one constant bounds both the classification and the certificate, which
+    # refuses before it lists a union
+    def refuse(p):
+        raise AssertionError("unions listed")
+
+    monkeypatch.setattr(groups, "SUBORBIT_ENUM_MAX", 5**4 - 1)
+    monkeypatch.setattr("orbicert.certify.nontrivial_labels", refuse)
+    with pytest.raises(ParameterTooLarge):
+        certify_not_digraph_group(5, 2)
 
 
 def test_two_closed_checks_delta_at_every_size(monkeypatch):

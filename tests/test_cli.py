@@ -291,13 +291,37 @@ def test_certification_error_exit_1(capsys, monkeypatch):
 
 def test_a_lemma_violation_exits_1_naming_its_counterexample(capsys, monkeypatch):
     # pi_1 and pi_2 swapped: the first rows still add up, the second do not
-    real = cliques.pi_matrix
-    monkeypatch.setattr(cliques, "pi_matrix", lambda cfg, i: real(cfg, {1: 2, 2: 1}.get(i, i)))
+    real = cliques.pi_functional
+    monkeypatch.setattr(
+        cliques, "pi_functional", lambda cfg, i: real(cfg, {1: 2, 2: 1}.get(i, i))
+    )
     code, out, err = run_cli(capsys, "verify", "cliques", "--p", "5", "--mu", "1,2,3,4")
     assert code == 1
     assert out == ""
     assert err.startswith("error: check failed: reconstruction")
     assert "'vertex':" in err and err.count("\n") == 1
+
+
+def test_a_non_dihedral_collineation_fails_table3_under_python_O():
+    # 2 I induces the identity on the line, so only the dihedral check sees
+    # it, and python -O must not skip that check
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys; from orbicert import crossratio; from orbicert.cli import main\n"
+        "real = crossratio.v4_collineations\n"
+        "def patched(p):\n"
+        "    return {**real(p), (0, 1, 2, 3): real(p)[(0, 1, 2, 3)].scaled(2)}\n"
+        "crossratio.v4_collineations = patched\n"
+        "sys.exit(main(['verify', 'lemma', 'table3', '--p', '13']))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr.startswith("error: check failed: table3-dihedral")
+    assert run.stderr.count("\n") == 1
 
 
 def test_lemmas_are_timed():

@@ -1,8 +1,10 @@
 """Projection coordinates and the parallel-clique geometry."""
 
+import dataclasses
 import inspect
 import random
 import sys
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -10,18 +12,27 @@ import pytest
 import orbicert.cliques as cliques
 import orbicert.digraphs as digraphs
 import orbicert.matrices as matrices
+from orbicert.certify import delta_indices
 from orbicert.cliques import (
     MuConfig,
     bruck_bound,
-    delta_connection_set,
+    pi_functional,
     projection_coeffs,
     verify_clique_axioms,
 )
 from orbicert.errors import DegenerateConfig, IndexOutOfRange, LemmaViolation, ParameterTooLarge
 from orbicert.fields import fp_inv
-from orbicert.matrices import num_vertices
+from orbicert.matrices import digit_planes, num_vertices
 
-from oracles import CliqueId, Tensor, ell_clique, pi_projection, tensor_from_projections
+from oracles import (
+    CliqueId,
+    Tensor,
+    clique_identities_2m,
+    delta_connection_set,
+    ell_clique,
+    pi_projection,
+    tensor_from_projections,
+)
 
 
 CFG5 = MuConfig(z=4, mus=(1, 2, 3, 4), m=2, p=5)
@@ -268,12 +279,11 @@ def test_the_verifier_builds_no_vertex_table(monkeypatch, cfg):
 
 
 def test_the_vertex_limit_refuses_before_a_block_is_built(monkeypatch):
-    # 7^40 rows per block: np.arange would fail, or at a mid-size m allocate
-    # gigabytes, if the mask's gate ran only when the mask is built
+    # 7^80 vertices: the gate refuses before any stage reads a projection
     def refuse(cfg, i):
-        raise AssertionError("direction block built")
+        raise AssertionError("projection read")
 
-    monkeypatch.setattr(cliques, "_block", refuse)
+    monkeypatch.setattr(cliques, "pi_functional", refuse)
     with pytest.raises(ParameterTooLarge):
         verify_clique_axioms(MuConfig(z=4, mus=(1, 2, 3, 4), m=40, p=7))
 
@@ -288,44 +298,52 @@ def test_ell_clique_refuses_a_representative_outside_the_vertices():
 # --- failures name their stage and a concrete counterexample
 
 
-def use_matrices(monkeypatch, edit):
-    """Make the verifier read the pi matrices changed by ``edit(i, matrix)``."""
-    real = cliques.pi_matrix
-    monkeypatch.setattr(cliques, "pi_matrix", lambda cfg, i: edit(i, real(cfg, i)))
+def use_functionals(monkeypatch, edit):
+    """Make the verifier read the pi_i coefficients changed by
+    ``edit(i, (alpha, beta))``."""
+    real = cliques.pi_functional
+    monkeypatch.setattr(cliques, "pi_functional", lambda cfg, i: edit(i, real(cfg, i)))
+
+
+def pin_coefficients(monkeypatch, cfg):
+    """Keep the relation coefficients of the true functionals, whatever
+    ``pi_functional`` returns later."""
+    real = {
+        (i, j, k): projection_coeffs(i, j, k, cfg)
+        for i, j in permutations(cfg.index_set, 2)
+        for k in cfg.index_set
+    }
+    monkeypatch.setattr(cliques, "projection_coeffs", lambda i, j, k, cfg: real[i, j, k])
 
 
 @pytest.mark.parametrize("cfg", [CFG5, CFG13], ids=["p5", "p13"])
 def test_one_wrong_entry_of_pi_3_fails_the_relations(monkeypatch, cfg):
-    row = 2 * cfg.m - 1  # the last basis vector e_(2m-1), vertex p^(2m-1)
-
-    def edit(i, pi):
-        if i == 3:
-            pi[row, 1] = (pi[row, 1] + 1) % cfg.p
-        return pi
-
-    use_matrices(monkeypatch, edit)
+    # beta is row 1 of the factor P_3: rows m .. 2m - 1 of Pi_3, first
+    # the basis vector e_m, vertex p^m
+    pin_coefficients(monkeypatch, cfg)
+    use_functionals(monkeypatch, lambda i, ab: (ab[0], ab[1] + 1) if i == 3 else ab)
     with pytest.raises(LemmaViolation) as err:
         verify_clique_axioms(cfg)
     assert err.value.lemma == "projection-relations"
     assert 3 in err.value.counterexample["triple"]
-    assert err.value.counterexample["vertex"] == cfg.p**row
+    assert err.value.counterexample["vertex"] == cfg.p**cfg.m
 
 
 def test_reconstruction_failure_in_the_second_row_names_a_vertex(monkeypatch):
     # swapping pi_1 and pi_2 keeps every map linear and r1 = pi_1 + pi_2
     # right; only r2 = mu_1 pi_1 + mu_2 pi_2 is wrong
-    real = cliques.pi_matrix
-    use_matrices(monkeypatch, lambda i, pi: real(CFG5, {1: 2, 2: 1}.get(i, i)))
+    use_functionals(monkeypatch, lambda i, ab: pi_functional(CFG5, {1: 2, 2: 1}.get(i, i)))
     with pytest.raises(LemmaViolation) as err:
         verify_clique_axioms(CFG5)
     assert err.value.lemma == "reconstruction"
     assert err.value.counterexample["pair"] == (1, 2)
     x = err.value.counterexample["vertex"]
     assert x in 5 ** np.arange(4)  # a basis vector e_k
-    r1, r2 = Tensor.from_index(x, 2, 5).coords.array
-    e = np.concatenate([r1, r2])
-    a, b = e @ real(CFG5, 1) % 5, e @ real(CFG5, 2) % 5
-    assert np.array_equal((a + b) % 5, r1) and not np.array_equal((2 * a + b) % 5, r2)
+    e = Tensor.from_index(x, 2, 5)
+    a, b = pi_projection(e, 1, CFG5), pi_projection(e, 2, CFG5)
+    r1, r2 = e.row1, e.row2
+    assert all((u + v) % 5 == r for u, v, r in zip(a, b, r1))
+    assert any((2 * u + v) % 5 != r for u, v, r in zip(a, b, r2))
 
 
 @pytest.mark.parametrize(
@@ -349,22 +367,109 @@ def test_a_wrong_relation_coefficient_fails_the_relations(monkeypatch, perturb, 
     assert err.value.counterexample["triple"] == (2, 3, 1)
 
 
-def without_pair(members, cfg):
-    """(t, -t, S minus the pair) for the first member t of S."""
-    t = int(members[0])
-    minus_t = (-Tensor.from_index(t, cfg.m, cfg.p)).index
-    return t, minus_t, members[(members != t) & (members != minus_t)]
-
-
 def test_a_missing_pair_of_s_fails_adjacency(monkeypatch):
-    real = cliques.delta_indices
-    t, minus_t, smaller = without_pair(real(CFG5), CFG5)
-    monkeypatch.setattr(cliques, "delta_indices", lambda cfg: smaller)
+    # pi_1 stays right, but S's block at the slope mu_3 of a wrong partner
+    # is taken as ker pi_1, so a pair of S, +-s_3, has pi_1 != 0
+    s3 = edge_of_block(CFG5, 3)
+    assert pi_projection(Tensor.from_index(s3, 2, 5), 1, CFG5) != (0, 0)
+    pin_coefficients(monkeypatch, CFG5)
+    real = {i: pi_functional(CFG5, i) for i in CFG5.index_set}
+    monkeypatch.setattr(cliques, "pi_functional", lambda cfg, i: real[i])
+    monkeypatch.setattr(MuConfig, "partner", lambda self, i: {1: 3, 3: 1}.get(i, i))
     with pytest.raises(LemmaViolation) as err:
         verify_clique_axioms(CFG5)
     assert err.value.lemma == "adjacency-shared-projection"
-    assert err.value.counterexample["y"] == 0
-    assert err.value.counterexample["x"] in (t, minus_t)
+    assert err.value.counterexample == {"kernel": 1, "vertex": s3}
+
+
+def swap_slopes(i, j):
+    """pi_functional of the slopes with mu_i and mu_j exchanged."""
+
+    def mutate(monkeypatch, cfg):
+        mus = list(cfg.mus)
+        mus[i - 1], mus[j - 1] = mus[j - 1], mus[i - 1]
+        swapped = dataclasses.replace(cfg, mus=tuple(mus))
+        monkeypatch.setattr(cliques, "pi_functional", lambda c, k: pi_functional(swapped, k))
+
+    return mutate
+
+
+def wrong_partner(monkeypatch, cfg):
+    """Pair 1 with 3 where the kernel of pi_i is read, the functionals kept."""
+    pin_coefficients(monkeypatch, cfg)
+    real = {i: pi_functional(cfg, i) for i in cfg.index_set}
+    monkeypatch.setattr(cliques, "pi_functional", lambda c, i: real[i])
+    monkeypatch.setattr(MuConfig, "partner", lambda self, i: {1: 3, 3: 1}.get(i, i))
+
+
+def changed_coefficient(monkeypatch, cfg):
+    def coeffs(i, j, k, c):
+        k1, k2 = projection_coeffs(i, j, k, c)
+        return ((k1 + 1) % c.p, k2) if (i, j, k) == (2, 3, 1) else (k1, k2)
+
+    monkeypatch.setattr(cliques, "projection_coeffs", coeffs)
+
+
+# name -> (mutation, the stage it fails)
+CLIQUE_MUTATIONS = {
+    "valid": (None, None),
+    "swapped-slope-1-2": (swap_slopes(1, 2), "reconstruction"),
+    "swapped-slope-3-4": (swap_slopes(3, 4), "reconstruction"),
+    "wrong-partner": (wrong_partner, "adjacency-shared-projection"),
+    "changed-coefficient": (changed_coefficient, "projection-relations"),
+}
+# m in {2, 3, 4} wherever the vertex gate, p^(2m) <= 10^7, allows it
+FACTOR_CONFIGS = [
+    dataclasses.replace(cfg, m=m)
+    for cfg, ms in [
+        (CFG5, (2, 3, 4)),
+        (CFG7, (2, 3, 4)),
+        (CFG7Z6, (2, 3, 4)),
+        (CFG13, (2, 3)),
+        (CFG17, (2,)),
+    ]
+    for m in ms
+]
+
+
+def factor_verdict(cfg):
+    try:
+        verify_clique_axioms(cfg)
+    except LemmaViolation as exc:
+        return exc.lemma, exc.counterexample
+    return None
+
+
+@pytest.mark.parametrize("mutation", list(CLIQUE_MUTATIONS))
+def test_the_factor_check_names_what_the_2m_oracle_names(monkeypatch, mutation):
+    mutate, stage = CLIQUE_MUTATIONS[mutation]
+    for cfg in FACTOR_CONFIGS:
+        with monkeypatch.context() as mp:
+            if mutate:
+                mutate(mp, cfg)
+            expected = clique_identities_2m(cfg)
+            assert factor_verdict(cfg) == expected, cfg
+        assert (expected and expected[0]) == stage, cfg
+
+
+CFG13Z6 = MuConfig(z=6, mus=(1, 2, 3, 4, 5, 6), m=2, p=13)
+
+
+@pytest.mark.parametrize(
+    "cfg", [CFG5, CFG7, CFG7Z6, CFG13, CFG13Z6], ids=["p5", "p7", "p7z6", "p13", "p13z6"]
+)
+def test_the_direction_blocks_are_the_kernels_of_the_projections(cfg):
+    # on the vertices: S, built from the rows [w | mu_i w], is the union of
+    # the kernels of the pi_i minus 0, so x ~ 0 iff some pi_i(x) = 0
+    p, m = cfg.p, cfg.m
+    planes = digit_planes(m, p).astype(np.int64)
+    vanish = np.zeros(planes.shape[1], dtype=bool)
+    for i in cfg.index_set:
+        alpha, beta = pi_functional(cfg, i)
+        vanish |= ((alpha * planes[:m] + beta * planes[m:]) % p == 0).all(axis=0)
+    kernels = np.flatnonzero(vanish)[1:]
+    assert np.array_equal(delta_indices(cfg), kernels)
+    assert kernels.size == verify_clique_axioms(cfg)["connection_set_size"]
 
 
 @pytest.mark.parametrize("cfg", [CFG5, CFG7Z6], ids=["p5", "p7z6"])

@@ -25,7 +25,7 @@ from orbicert.fields import INFINITY
 from orbicert.groups import d8_elements, nontrivial_labels, suborbit_indices
 from orbicert.matrices import Matrix, digit_planes, encode_array, num_vertices
 
-from oracles import LinPart, Tensor, is_arc, permutation_from_linear
+from oracles import LinPart, Tensor, hamming_check_2m, is_arc, permutation_from_linear
 
 
 def negated(coords, idx, p):
@@ -487,14 +487,42 @@ def test_hamming_check_is_the_all_pairs_oracle(p, all_coords):
 
 
 def test_hamming_check_refuses_a_wrong_inverse(monkeypatch):
-    # H = 2 inv(D)^T (x) I leaves every zero half in place, so only the
-    # H G = I check sees it
+    # h = 2 inv(D)^T leaves every zero half in place, so only the h g = I
+    # check sees it
     m, p = 2, 5
     s = orbital_union_set(["A"], m, p)
     real = digraphs._splitting
     assert hamming_check(s, 0, INFINITY)
-    monkeypatch.setattr(digraphs, "_splitting", lambda *a: (real(*a)[0], 2 * real(*a)[1]))
+    monkeypatch.setattr(digraphs, "_splitting", lambda *a: (real(*a)[0], real(*a)[1].scaled(2)))
     assert hamming_check(s, 0, INFINITY) is False
+
+
+def _hamming_verdict(check, s, d1, d2):
+    try:
+        return check(s, d1, d2)
+    except BadDecomposition:
+        return "not-two-blocks"
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["valid", "doubled-h"])
+@pytest.mark.parametrize("p, m", [(3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (5, 4), (7, 2), (7, 3)])
+def test_the_2x2_hamming_check_is_the_2m_oracle(monkeypatch, p, m, doubled):
+    # every label against every Hamming-capable direction pair, both orders
+    if doubled:
+        real = digraphs._splitting
+        monkeypatch.setattr(
+            digraphs, "_splitting", lambda *a: (real(*a)[0], real(*a)[1].scaled(2))
+        )
+    capable = [hamming_capable(t, p) for t in nontrivial_labels(p)]
+    pairs = [d for d in capable if d] + [(d2, d1) for d1, d2 in filter(None, capable)]
+    verdicts = set()
+    for token in nontrivial_labels(p):
+        s = orbital_union_set([token], m, p)
+        for d1, d2 in pairs:
+            got = _hamming_verdict(hamming_check, s, d1, d2)
+            assert got == _hamming_verdict(hamming_check_2m, s, d1, d2), (token, d1, d2)
+            verdicts.add(got)
+    assert verdicts == ({False} if doubled else {True, "not-two-blocks"})
 
 
 def test_hamming_check_refuses_a_set_that_is_not_the_two_blocks(all_coords):

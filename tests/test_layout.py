@@ -53,3 +53,15 @@ def test_every_top_level_definition_is_named_elsewhere_in_the_package():
         and count[node.name] == (node.name in used[id(node)])
     ]
     assert unnamed == []
+
+
+def test_the_clique_verifier_imports_no_numpy():
+    # it checks 2 x 2 factors in Python ints, with no vertex array
+    tree = ast.parse((SRC / "cliques.py").read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+    ] + [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not [name for name in imported if name and name.split(".")[0] == "numpy"]

@@ -8,12 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbicert.certify import Certificate, scan_primes
-from orbicert.cliques import MuConfig, delta_connection_set, verify_clique_axioms
+from orbicert.cliques import MuConfig, verify_clique_axioms
 from orbicert.digraphs import is_connected, orbital_union_set
 from orbicert.errors import EmptyUnion, ParameterTooLarge
 from orbicert.report import emit_report, report_payload, sha256
 
-from oracles import gl2_enumerate, suborbit_elements
+from oracles import delta_connection_set, gl2_enumerate, suborbit_elements
 
 
 def test_empty_report_skeleton():
