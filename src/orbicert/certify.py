@@ -21,7 +21,6 @@ moves and a non-additivity pair.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +39,8 @@ from .errors import (
     ParameterTooLarge,
     ScanViolation,
 )
-from .fields import INFINITY, MAX_PRIME, is_prime
+from .crossratio import point_name
+from .fields import MAX_PRIME, is_prime
 from .groups import (
     classify_all,
     g0_contains,
@@ -51,34 +51,32 @@ from .groups import (
 )
 from .matrices import (
     Matrix,
-    encode_array,
+    digit_planes,
     gl2_count,
     num_vertices,
     pgl2_stabilizer,
-    point_code,
+    product_image,
 )
 
 
 @dataclass(frozen=True)
 class DirectionSet:
-    """A nonempty set of distinct projective directions in V."""
+    """A nonempty set of distinct points of the projective line, as codes
+    0 .. p (p is infinity).  A code is not reduced mod p: p would be 0."""
 
-    points: tuple
+    codes: tuple[int, ...]
     p: int
 
     def __post_init__(self):
-        if not self.points:
+        if not self.codes:
             raise ValueError("direction set must be nonempty")
-        if len(set(self.codes)) != len(self.points):
+        if not all(0 <= k <= self.p for k in self.codes):
+            raise ValueError(f"point code outside 0..{self.p}: {self.codes}")
+        if len(set(self.codes)) != len(self.codes):
             raise ValueError("duplicate direction")
 
-    @property
-    def codes(self) -> tuple[int, ...]:
-        """Point codes on the projective line (INFINITY is p)."""
-        return tuple(point_code(d, self.p) for d in self.points)
-
     def describe(self) -> list:
-        return ["inf" if d is INFINITY else int(d) % self.p for d in self.points]
+        return [point_name(k, self.p) for k in self.codes]
 
 
 @dataclass
@@ -144,13 +142,13 @@ def direction_set_of_labels(tokens, p: int) -> DirectionSet:
     return DirectionSet(tuple(dirs), p)
 
 
-# the stabilizer pairs used by the 2-closure drivers, per prime.
-# the p=7 second set is the direction pair {1, -1}: the closure of
-# direction 1 under the dihedral action (a set {1, 4} would not even be
-# dihedral-stable; see tests).
+# the stabilizer pairs used by the 2-closure drivers, per prime, as point
+# codes.  the p=7 first set is {0, inf}, code 7 being infinity, and the
+# second is the direction pair {1, -1}: the closure of direction 1 under the
+# dihedral action (a set {1, 4} would not even be dihedral-stable; see tests).
 TWO_CLOSED_PAIRS: dict[int, tuple[tuple, tuple]] = {
     5: ((1, 4), (2, 3)),
-    7: ((0, INFINITY), (1, 6)),
+    7: ((0, 7), (1, 6)),
     13: ((2, 6, 7, 11), (3, 4, 9, 10)),
 }
 
@@ -163,22 +161,19 @@ TWO_CLOSED_MU: dict[int, tuple[tuple[int, ...], tuple[str, ...]]] = {
 Q17_MUS = (1, 2, 8, 9, 15, 16)
 
 
-def _block(cfg: MuConfig, i: int) -> np.ndarray:
-    """The direction block (e1 + mu_i e2) (x) W: the digit rows [w | mu_i w]
-    as (p^m, 2, m) coordinates, unreduced, for w in W in index order (0
-    first, then e_1)."""
-    p, m = cfg.p, cfg.m
-    w = np.arange(p**m)[:, None] // p ** np.arange(m) % p
-    return np.stack([w, cfg.mu(i) * w], axis=1)
-
-
 def delta_indices(cfg: MuConfig) -> np.ndarray:
     """The union of the z direction blocks minus 0, sorted.
 
-    These are the z(p^m - 1) rows [w | mu_i w] with w != 0; blocks of
-    distinct slopes meet only in 0.
+    The block of mu_i, (e1 + mu_i e2) (x) W, holds the rows [w | mu_i w]:
+    the images under ((1, mu_i), (0, 1)) (x) I_m of the rows [w | 0], the
+    vertices 1 .. p^m - 1 for w != 0.  Blocks of distinct slopes meet only
+    in 0, so these are z(p^m - 1) vertices.
     """
-    blocks = [encode_array(_block(cfg, i)[1:], cfg.p) for i in cfg.index_set]
+    p, m = cfg.p, cfg.m
+    rows, ident = digit_planes(m, p)[:, 1 : p**m], Matrix.identity(m, p)
+    blocks = [
+        product_image(rows, Matrix(((1, cfg.mu(i)), (0, 1)), p), ident, p) for i in cfg.index_set
+    ]
     return np.sort(np.concatenate(blocks))
 
 
@@ -196,7 +191,6 @@ def certify_two_closed(p: int, m: int, seed: int = DEFAULT_SEED) -> Certificate:
     """
     if p not in TWO_CLOSED_PAIRS:
         raise InvalidConfig(f"two-closed supports p in {sorted(TWO_CLOSED_PAIRS)}, not {p}")
-    start = time.perf_counter()
     evidence: dict = {}
     mus, union_tokens = TWO_CLOSED_MU[p]
     cfg = MuConfig(z=len(mus), mus=mus, m=m, p=p)
@@ -229,22 +223,18 @@ def certify_two_closed(p: int, m: int, seed: int = DEFAULT_SEED) -> Certificate:
         evidence["stabilizer_all_suborbits"] = repaired
         pinned = repaired["intersection_equals_scalar_closure_of_d8"]
 
-    status = "verified" if pinned else "refuted"
-    cert = Certificate(
+    return Certificate(
         claim="two-closed",
         parameters={"p": p, "m": m, "seed": seed},
-        status=status,
+        status="verified" if pinned else "refuted",
         evidence=evidence,
-        elapsed_ms=(time.perf_counter() - start) * 1000.0,
     )
-    return cert
 
 
 def certify_q17(m: int, seed: int = DEFAULT_SEED) -> Certificate:
     """Certify that at p=17 the union of the first two orbitals is rigid:
     its linear automorphisms reduce to the dihedral group up to scalars."""
     p = 17
-    start = time.perf_counter()
     evidence: dict = {}
     cfg = MuConfig(z=6, mus=Q17_MUS, m=m, p=p)
 
@@ -268,7 +258,6 @@ def certify_q17(m: int, seed: int = DEFAULT_SEED) -> Certificate:
         parameters={"p": p, "m": m, "seed": seed},
         status="verified" if ok else "refuted",
         evidence=evidence,
-        elapsed_ms=(time.perf_counter() - start) * 1000.0,
     )
 
 
@@ -313,14 +302,10 @@ GLGL_WITNESS = ((1, 1), (0, 1))
 
 def hamming_capable(token: str, p: int) -> tuple | None:
     """Two block directions when the suborbit is a two-direction union."""
-    if token == "A":
-        return (0, INFINITY)
-    if token.startswith("L"):
-        k = int(token[1:])
-        cls = lambda_classes(p)[k]
-        if len(cls) == 2:
-            return tuple(sorted(cls))
-    return None
+    if token == "B":
+        return None
+    dirs = label_directions(token, p)
+    return dirs if len(dirs) == 2 else None
 
 
 def search_linear_witness(tokens, p: int) -> Matrix | None:
@@ -333,9 +318,7 @@ def search_linear_witness(tokens, p: int) -> Matrix | None:
     this is the first such matrix of GL(2,p).  Callers check it on the
     vertices.
     """
-    codes = [
-        point_code(d, p) for t in tokens if t != "B" for d in label_directions(t, p)
-    ]
+    codes = [k for t in tokens if t != "B" for k in label_directions(t, p)]
     v4 = v4_representatives(p)
     return next((a for a in pgl2_stabilizer(codes, p) if a not in v4), None)
 
@@ -424,9 +407,7 @@ def _certify_one_union(
                 na = perm.nonadditive_witness()
                 entry["witness_kind"] = "hamming"
                 entry["witness_data"] = {
-                    "block_directions": [
-                        "inf" if d is INFINITY else int(d) for d in dirs
-                    ],
+                    "block_directions": [point_name(k, p) for k in dirs],
                     "swapped_w_codes": [1, 2],
                     "nonadditive_pair": list(na) if na else None,
                 }
@@ -488,7 +469,6 @@ def certify_not_digraph_group(p: int, m: int) -> Certificate:
     """
     if num_vertices(m, p) > groups.SUBORBIT_ENUM_MAX:
         raise ParameterTooLarge(f"certification gated to p^(2m) <= {groups.SUBORBIT_ENUM_MAX}")
-    start = time.perf_counter()
     labels = nontrivial_labels(p)
     unions = [
         frozenset(c)
@@ -523,7 +503,6 @@ def certify_not_digraph_group(p: int, m: int) -> Certificate:
             "stated_witnesses_failed": failed_stated,
             "unions": entries,
         },
-        elapsed_ms=(time.perf_counter() - start) * 1000.0,
     )
 
 
@@ -558,7 +537,6 @@ def scan_primes(max_p: int) -> Certificate:
         raise InvalidConfig(f"the scan starts at p = 5, so max_p = {max_p} scans no prime")
     if max_p > MAX_PRIME:
         raise ParameterTooLarge(f"scan gated to max_p <= {MAX_PRIME}")
-    start = time.perf_counter()
     set2 = obstruction_polynomials(2)
     set4 = obstruction_polynomials(4)
     both = []
@@ -590,5 +568,4 @@ def scan_primes(max_p: int) -> Certificate:
                 "bound; no explicit digraph is constructed here"
             ),
         },
-        elapsed_ms=(time.perf_counter() - start) * 1000.0,
     )

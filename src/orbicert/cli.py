@@ -9,6 +9,8 @@ Wire formats used in reports and by the library:
 
 * vertex: the index sum(flat[k] * p^k) over the row-major flattening of
   the 2 x m coordinate grid, e1 row first;
+* point of the projective line: its code 0 .. p, the slope t being t and
+  infinity p; JSON writes infinity as ``"inf"`` and a slope as its code;
 * suborbit label: ``"zero" | "A" | "B" | "L<k>"`` with k the canonical
   class representative (the tokens of ``groups.classify_all``);
 * report: ``{tool_version, run_config, certificates, summary,
@@ -37,11 +39,11 @@ from .certify import (
     scan_primes,
 )
 from .cliques import DEFAULT_SEED, MuConfig, verify_clique_axioms
-from .crossratio import check_v4_collineations, verify_table1
+from .crossratio import check_v4_collineations, point_name, verify_table1
 from .digraphs import hamming_check, orbital_union_set
 from .errors import DegenerateConfig, InvalidConfig, OrbicertError
-from .fields import INFINITY, PrimeModulus, fp_sqrt_minus_one
-from .groups import classify_all, lambda_classes, rank_of, suborbit_indices
+from .fields import fp_sqrt_minus_one, prime_modulus
+from .groups import classify_all, label_directions, lambda_classes, rank_of, suborbit_indices
 from .matrices import num_vertices
 from .report import emit_report
 
@@ -91,15 +93,8 @@ def _lemma_registry() -> dict:
     }
 
 
-def run_lemma(name: str, cfg: RunConfig) -> Certificate:
-    """Run one named structural check; its wall time goes to the text format."""
-    start = time.perf_counter()
-    cert = _lemma(name, cfg)
-    cert.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return cert
-
-
-def _lemma(name: str, cfg: RunConfig) -> Certificate:
+def lemma(name: str, cfg: RunConfig) -> Certificate:
+    """Run one named structural check."""
     p, m = cfg.p, cfg.m
     if name not in _lemma_registry():
         raise InvalidConfig(f"unknown lemma {name!r}; known: {sorted(_lemma_registry())}")
@@ -107,20 +102,21 @@ def _lemma(name: str, cfg: RunConfig) -> Certificate:
         raise InvalidConfig("--p required")
     if name in ("hamming-A", "hamming-1", "hamming-i"):
         if name == "hamming-A":
-            dirs, label = (0, INFINITY), "A"
+            label = "A"
         elif name == "hamming-1":
-            dirs, label = (1, p - 1), "L1"
+            label = "L1"
         else:
             i = fp_sqrt_minus_one(p)
             if i is None:
                 raise InvalidConfig(f"p={p} has no square root of -1")
-            dirs, label = (i, p - i), f"L{min(i, p - i)}"
+            label = f"L{i}"  # the class {i, -i} of the smaller root
+        dirs = label_directions(label, p)
         s = orbital_union_set([label], m, p)
         return _wrap(
             f"lemma:{name}",
             {"p": p, "m": m},
-            {"label": label, "directions": ["inf" if d is INFINITY else d for d in dirs]},
-            hamming_check(s, dirs[0], dirs[1]),
+            {"label": label, "directions": [point_name(k, p) for k in dirs]},
+            hamming_check(s, *dirs),
         )
     if name == "connectivity":
         from .digraphs import is_connected
@@ -159,44 +155,42 @@ def _lemma(name: str, cfg: RunConfig) -> Certificate:
 
 
 def dispatch(cfg: RunConfig, lemma_name: str | None = None) -> list[Certificate]:
+    """The command's certificate, timed: its wall time goes to the text format."""
     cmd = cfg.command
+    if cmd in ("rank", "two-closed") and cfg.p is None:
+        raise InvalidConfig("--p required")
+    start = time.perf_counter()
     if cmd == "rank":
-        if cfg.p is None:
-            raise InvalidConfig("--p required")
-        r = rank_of(cfg.m, cfg.p)
         cert = _wrap(
             "rank",
             {"p": cfg.p, "m": cfg.m},
             {
-                "rank": r,
+                "rank": rank_of(cfg.m, cfg.p),
                 "lambda_classes": {
                     str(k): sorted(v) for k, v in lambda_classes(cfg.p).items()
                 },
             },
         )
-        return [cert]
-    if cmd == "suborbits":
-        return [run_lemma("suborbit-partition", cfg)]
-    if cmd == "scan":
-        return [scan_primes(cfg.max_prime)]
-    if cmd == "two-closed":
-        if cfg.p is None:
-            raise InvalidConfig("--p required")
-        return [certify_two_closed(cfg.p, cfg.m, seed=cfg.seed)]
-    if cmd in ("theorem-q5", "theorem-q7", "theorem-q13"):
-        p = int(cmd.split("q")[1])
-        return [certify_not_digraph_group(p, cfg.m)]
-    if cmd == "q17":
-        return [certify_q17(cfg.m, seed=cfg.seed)]
-    if cmd == "cross-ratio-table":
-        if cfg.p is None:
-            raise InvalidConfig("--p required")
-        return [run_lemma("table1", cfg)]
-    if cmd == "cliques":
-        return [run_lemma("clique-axioms", cfg)]
-    if cmd == "lemma":
-        return [run_lemma(lemma_name, cfg)]
-    raise InvalidConfig(f"unknown command {cmd!r}")
+    elif cmd == "suborbits":
+        cert = lemma("suborbit-partition", cfg)
+    elif cmd == "scan":
+        cert = scan_primes(cfg.max_prime)
+    elif cmd == "two-closed":
+        cert = certify_two_closed(cfg.p, cfg.m, seed=cfg.seed)
+    elif cmd in ("theorem-q5", "theorem-q7", "theorem-q13"):
+        cert = certify_not_digraph_group(int(cmd.split("q")[1]), cfg.m)
+    elif cmd == "q17":
+        cert = certify_q17(cfg.m, seed=cfg.seed)
+    elif cmd == "cross-ratio-table":
+        cert = lemma("table1", cfg)
+    elif cmd == "cliques":
+        cert = lemma("clique-axioms", cfg)
+    elif cmd == "lemma":
+        cert = lemma(lemma_name, cfg)
+    else:
+        raise InvalidConfig(f"unknown command {cmd!r}")
+    cert.elapsed_ms = (time.perf_counter() - start) * 1000.0
+    return [cert]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,7 +286,7 @@ def parse_config(argv) -> tuple[RunConfig, str | None]:
     )
     if cfg.p is not None:
         try:
-            PrimeModulus(cfg.p)
+            prime_modulus(cfg.p)
         except ValueError as exc:
             raise InvalidConfig(f"--p: {exc}") from None
     if cfg.m < 2:

@@ -1,19 +1,19 @@
 """Cross-ratio arithmetic on the projective line over GF(p).
 
-Values live in GF(p) together with INFINITY.  Rather than case-splitting
-the informal limit conventions, each parameter is lifted to a homogeneous
-pair ((1, t) for finite t, (0, 1) for infinity) and the cross-ratio is a
-ratio of 2x2 determinants; a vanishing denominator then *is* infinity.
+A point of the line is its code 0 .. p: the slope t is t, and infinity is
+p (``orbicert.matrices``).  Rather than case-splitting the informal limit
+conventions, each code is lifted to a homogeneous pair ((1, t) for the
+slope t, (0, 1) for infinity) and the cross-ratio is a ratio of 2x2
+determinants; a vanishing denominator then *is* infinity.  Reports and
+error messages write infinity as ``"inf"`` (``point_name``).
 """
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .errors import DegenerateQuad, InvalidConfig, LemmaViolation, ParameterTooLarge, TableViolation
-from .fields import INFINITY, MAX_PRIME, fp_inv
+from .errors import InvalidConfig, LemmaViolation, ParameterTooLarge, TableViolation
+from .fields import MAX_PRIME, fp_inv
 from .matrices import Matrix
 
 # the six classical values as formula codes
@@ -51,51 +51,15 @@ for _sigma, _row in [
     PERMUTATION_ROWS[_sigma] = _row
 
 
-def homogeneous(value, p: int) -> tuple[int, int]:
-    if value is INFINITY:
-        return (0, 1)
-    return (1, int(value) % p)
+def homogeneous(k: int, p: int) -> tuple[int, int]:
+    """The homogeneous lift of point code k: (1, k) for a slope, (0, 1) for p."""
+    return (0, 1) if k == p else (1, k)
 
 
-def _det(u, v, p: int) -> int:
-    return (u[0] * v[1] - u[1] * v[0]) % p
-
-
-def cross_ratio(quad, p: int):
-    """Cross-ratio of four pairwise-distinct parameters in GF(p) + INFINITY.
-
-    Evaluates det(A,C) det(B,D) / (det(B,C) det(A,D)) on homogeneous lifts.
-    """
-    a, b, c, d = (homogeneous(t, p) for t in quad)
-    pts = (a, b, c, d)
-    for u, v in itertools.combinations(pts, 2):
-        if _det(u, v, p) == 0:
-            raise DegenerateQuad(f"parameters not pairwise distinct: {quad}")
-    num = _det(a, c, p) * _det(b, d, p) % p
-    den = _det(b, c, p) * _det(a, d, p) % p
-    if den == 0:
-        return INFINITY
-    return num * fp_inv(den, p) % p
-
-
-def apply_formula(row: str, r, p: int):
-    """Evaluate one of the six classical transforms of r (r not 0, 1, inf)."""
-    if r is INFINITY or r in (0, 1 % p):
-        raise DegenerateQuad("transform table applies to r outside {0, 1, inf}")
-    r = int(r) % p
-    if row == "r":
-        return r
-    if row == "r/(r-1)":
-        return r * fp_inv(r - 1, p) % p
-    if row == "1-r":
-        return (1 - r) % p
-    if row == "1/r":
-        return fp_inv(r, p)
-    if row == "1/(1-r)":
-        return fp_inv(1 - r, p)
-    if row == "(r-1)/r":
-        return (r - 1) * fp_inv(r, p) % p
-    raise ValueError(f"unknown formula {row!r}")
+def point_name(k: int, p: int):
+    """Point code k as reports and error messages write it: the slope k, or
+    ``"inf"`` for p."""
+    return "inf" if k == p else int(k)
 
 
 def permute_quad(sigma, quad):
@@ -103,58 +67,38 @@ def permute_quad(sigma, quad):
     return tuple(quad[sigma[i]] for i in range(4))
 
 
-def _validate_rows():
-    # one generic rational check per permutation pins each row
-    p = 101
-    quad = (0, 1, 3, 10)
-    r = cross_ratio(quad, p)
-    for sigma, row in PERMUTATION_ROWS.items():
-        direct = cross_ratio(permute_quad(sigma, quad), p)
-        if direct != apply_formula(row, r, p):
-            raise AssertionError(f"permutation table row broken at {sigma}")
-
-
-_validate_rows()
-
-
-def projective_line(p: int) -> tuple:
-    return tuple(range(p)) + (INFINITY,)
-
-
-def fractional_action(mat: Matrix, value, p: int):
-    """Slope action of an invertible 2x2 matrix on GF(p) + INFINITY."""
-    x = homogeneous(value, p)
+def fractional_action(mat: Matrix, k: int, p: int) -> int:
+    """Code of the image of point code k under an invertible 2x2 matrix."""
+    x = homogeneous(k, p)
     y = (
         (x[0] * mat[0, 0] + x[1] * mat[1, 0]) % p,
         (x[0] * mat[0, 1] + x[1] * mat[1, 1]) % p,
     )
     if y[0] == 0:
-        return INFINITY
+        return p
     return y[1] * fp_inv(y[0], p) % p
 
 
 def verify_table1(p: int) -> dict:
     """Check the permutation table on every ordered pairwise-distinct
-    quadruple of the p+1 points of GF(p) + INFINITY.
+    quadruple of the p+1 points of the line, codes 0 .. p.
 
-    The check runs on the p-2 frames (INFINITY, 0, 1, x), x = 2 .. p-1 (point
-    codes 0..p-1 for the slopes, p for INFINITY), and that covers every
-    quadruple.  For g in GL(2, p), det(u g, v g) = det(g) det(u, v), and
-    each point occurs once above and once below the fraction, so the
-    cross-ratio is g-invariant; so is each permuted one, since renaming
-    the points by sigma commutes with moving them all by g.  PGL(2, p) is
-    sharply 3-transitive on the line, so every quadruple is the image of
-    exactly one frame.  On the frames, both evaluation routes (direct
-    recomputation versus the formula of the row) must agree for all 24
-    permutations.  The line and the inverse table are O(p); p above
-    ``MAX_PRIME`` is refused before either is built.
+    The check runs on the p-2 frames (inf, 0, 1, x), x = 2 .. p-1 (codes
+    (p, 0, 1, x)), and that covers every quadruple.  For g in GL(2, p),
+    det(u g, v g) = det(g) det(u, v), and each point occurs once above and
+    once below the fraction, so the cross-ratio is g-invariant; so is each
+    permuted one, since renaming the points by sigma commutes with moving
+    them all by g.  PGL(2, p) is sharply 3-transitive on the line, so every
+    quadruple is the image of exactly one frame.  On the frames, both
+    evaluation routes (direct recomputation versus the formula of the row)
+    must agree for all 24 permutations.  The line and the inverse table are
+    O(p); p above ``MAX_PRIME`` is refused before either is built.
     """
     if p < 5:
         raise InvalidConfig(f"the table needs at least 6 points on the line, p={p}")
     if p > MAX_PRIME:
         raise ParameterTooLarge(f"table at p = {p} refused (limit p <= {MAX_PRIME})")
-    points = projective_line(p)
-    line = np.array([homogeneous(t, p) for t in points], dtype=np.int64)
+    line = np.array([homogeneous(k, p) for k in range(p + 1)], dtype=np.int64)
     quads = np.array([(p, 0, 1, x) for x in range(2, p)], dtype=np.int64)
     inv = np.array([0] + [fp_inv(v, p) for v in range(1, p)], dtype=np.int64)
 
@@ -162,18 +106,20 @@ def verify_table1(p: int) -> dict:
         u, v = line[q[:, i]], line[q[:, j]]
         return (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]) % p
 
+    def named(codes):
+        return tuple(point_name(k, p) for k in codes)
+
     def cr(q):
         den = det(1, 2, q) * det(0, 3, q) % p
         if not den.all():  # a frame with two equal points
-            quad = tuple(points[k] for k in q[den.argmin()])
-            raise LemmaViolation("table1-distinct-points", {"quad": quad})
+            raise LemmaViolation("table1-distinct-points", {"quad": named(q[den.argmin()])})
         return det(0, 2, q) * det(1, 3, q) % p * inv[den] % p
 
     r = cr(quads)
     degenerate = np.isin(r, [0, 1])
     if degenerate.any():
         i = degenerate.argmax()
-        quad = tuple(points[k] for k in quads[i])
+        quad = named(quads[i])
         raise LemmaViolation("table1-cross-ratio", {"quad": quad, "cross_ratio": int(r[i])})
     formulas = {
         "r": r,
@@ -188,8 +134,7 @@ def verify_table1(p: int) -> dict:
         bad = np.nonzero(direct != formulas[row])[0]
         if bad.size:
             i = bad[0]
-            quad = tuple(points[k] for k in quads[i])
-            raise TableViolation(sigma, quad, int(formulas[row][i]), int(direct[i]))
+            raise TableViolation(sigma, named(quads[i]), int(formulas[row][i]), int(direct[i]))
     return {
         "p": p,
         "quads_checked": (p + 1) * p * (p - 1) * (p - 2),
@@ -217,8 +162,16 @@ def v4_collineations(p: int) -> dict[tuple[int, int, int, int], Matrix]:
 
 def check_v4_collineations(p: int) -> dict:
     """Each listed matrix induces its double transposition on every
-    nondegenerate direction quadruple (lam, -lam, lam^-1, -lam^-1)."""
+    nondegenerate direction quadruple (lam, -lam, lam^-1, -lam^-1).
+
+    The quadruple is degenerate iff lam^4 = 1, and every lam^4 is 1 at
+    p = 3 and 5, which are refused; at p >= 7 at most 4 of the p - 1 >= 6
+    slopes are degenerate.
+    """
     from .groups import d8_elements
+
+    if p < 7:
+        raise InvalidConfig(f"every direction quadruple is degenerate at p={p}: lam^4 = 1")
 
     d8 = set(d8_elements(p).elements)
     checked = 0

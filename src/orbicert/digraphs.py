@@ -1,7 +1,7 @@
 """Cayley digraphs on the additive tensor space, and automorphism witnesses.
 
-Arc rule: (x, y) is an arc of Cay(T, S) iff x - y lies in S (componentwise
-mod p through the vertex codec).  Every connection set used here is closed
+Arc rule: (x, y) is an arc of Cay(T, S) iff x - y lies in S (digitwise mod
+p on the vertex indices).  Every connection set used here is closed
 under negation, so arcs come in opposite pairs; directed semantics are kept
 anyway.  Adjacency is answered from a membership bitmap over the p^(2m)
 vertices rather than materialized arc lists.
@@ -18,15 +18,16 @@ import numpy as np
 
 from .errors import BadDecomposition, EmptyUnion, IndexOutOfRange
 from .crossratio import homogeneous
-from .fields import INFINITY, fp_inv
+from .fields import fp_inv
 from .matrices import (
     Matrix,
     decode_planes,
     digit_planes,
-    encode_array,
+    horner_fold,
     linear_vertex_map,
     mat_inv,
     num_vertices,
+    product_image,
     vertex_table_size,
 )
 from .groups import classify_all, nontrivial_labels
@@ -92,7 +93,7 @@ def _vertex(idx, n: int) -> int:
 #
 # The exhaustive arc and additivity checks read the digits of the vertices
 # from the uint16 ``digit_planes`` table, one row per digit, and encode the
-# difference of two vertices by Horner's rule: no % or matmul over the
+# difference of two vertices with ``horner_fold``: no % or matmul over the
 # vertices.
 
 
@@ -102,19 +103,16 @@ def _horner_difference(pairs, p: int) -> np.ndarray:
 
     Each digit difference is reduced mod p without a division: a negative
     u - v wraps to u - v + 2^16, and d + p then wraps to u - v + p, the
-    smaller of the two; a non-negative d is itself the smaller.  The
-    reduced digits are folded into the index by Horner's rule.
+    smaller of the two; a non-negative d is itself the smaller.
     """
-    idx = None
-    for u, v in pairs:
-        d = np.subtract(u, v)
-        np.minimum(d, d + p, out=d)
-        if idx is None:
-            idx = d.astype(np.int32)
-        else:
-            idx *= p
-            idx += d
-    return idx
+
+    def digits():
+        for u, v in pairs:
+            d = np.subtract(u, v)
+            np.minimum(d, d + p, out=d)
+            yield d
+
+    return horner_fold(digits(), p)
 
 
 def _encode_difference(u: np.ndarray, v: np.ndarray, p: int) -> np.ndarray:
@@ -236,8 +234,8 @@ class VertexPermutation:
           That is why every t is checked, not one of each pair +-t.
 
         As S = -S, the vertices x + t, t in S, are the x - t, encoded from
-        the uint16 digit table, so no vertex is re-encoded through the
-        codec.  The support runs in blocks of floor(n / |S|) vertices, at
+        the uint16 digit table, one fold per block, not one per member of
+        S.  The support runs in blocks of floor(n / |S|) vertices, at
         most n (x, t) pairs at a time, and each difference gathers one
         digit plane at a time: no gather holds more than n digits, a 2m-th
         of the table.
@@ -297,10 +295,10 @@ class VertexPermutation:
 # neither the lemma nor the witness tabulates the vertices' coordinates.
 
 
-def _splitting(d1, d2, p: int) -> tuple[Matrix, Matrix]:
-    """(g, h) for the splitting along d1, d2: g = D^T for D = (v1 | v2), whose
-    rows are v1 and v2, and h = inv(D)^T = inv(g)."""
-    if d1 == d2 or (d1 is INFINITY and d2 is INFINITY):
+def _splitting(d1: int, d2: int, p: int) -> tuple[Matrix, Matrix]:
+    """(g, h) for the splitting along the point codes d1, d2: g = D^T for
+    D = (v1 | v2), whose rows are v1 and v2, and h = inv(D)^T = inv(g)."""
+    if d1 == d2:
         raise BadDecomposition("directions must be distinct")
     g = Matrix((homogeneous(d1, p), homogeneous(d2, p)), p)
     if not g.is_invertible():
@@ -351,18 +349,16 @@ def hamming_witness(d1, d2, m: int, p: int) -> VertexPermutation:
     non-linear permutation of one side works, this one is the canonical
     choice.  The 2 p^m moved vertices are c v1 (x) f_1 + v2 (x) b,
     c in {1, 2}, with v1 and v2 the rows of the splitting factor g, and
-    none is 0.  Only builds the permutation: the caller certifies it on its
-    own connection set with ``is_automorphism``, which checks the arcs that
-    leave those moved vertices, for every t in S, and
+    none is 0: the images under (g, I_m) of the vertices [c f_1 | b], the
+    indices c + p^m b.  Only builds the permutation: the caller certifies it
+    on its own connection set with ``is_automorphism``, which checks the
+    arcs that leave those moved vertices, for every t in S, and
     ``nonadditive_witness``.
     """
     n = vertex_table_size(m, p)  # refused before the n-entry mapping
     g, _ = _splitting(d1, d2, p)
-    v1, v2 = np.array(g.entries)[:, :, None]
-    w = np.arange(p**m)[:, None] // p ** np.arange(m) % p
-    side = v2 * w[:, None]  # v2 (x) b as (p^m, 2, m) coordinates, b in index order
-    f1 = v1 * (np.arange(m) == 0)  # v1 (x) f_1
-    one, two = (encode_array(side + c * f1, p) for c in (1, 2))
+    planes, ident = digit_planes(m, p), Matrix.identity(m, p)
+    one, two = (product_image(planes[:, c :: p**m], g, ident, p) for c in (1, 2))
     mapping = np.arange(n, dtype=np.int32)
     mapping[one], mapping[two] = two, one
     return VertexPermutation(mapping, m, p)

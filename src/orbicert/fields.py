@@ -6,32 +6,10 @@ argument is reduced mod p first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ZeroInverse
 
 MAX_MODULUS = 2**31  # products of residues then fit in 64-bit intermediates
 MAX_PRIME = 10**4  # the largest p of the prime scan and of the cross-ratio table
-
-
-class _Infinity:
-    """Singleton for the projective point at infinity."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITY"
-
-    def __reduce__(self):
-        return (_Infinity, ())
-
-
-INFINITY = _Infinity()
 
 
 def is_prime(n: int) -> bool:
@@ -50,32 +28,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
-    """An odd prime p with 3 <= p < 2^31, validated at construction."""
-
-    p: int
-
-    def __post_init__(self):
-        if not (3 <= self.p < MAX_MODULUS):
-            raise ValueError(f"modulus out of range: {self.p}")
-        if self.p % 2 == 0 or not is_prime(self.p):
-            raise ValueError(f"modulus must be an odd prime: {self.p}")
-
-    def __int__(self):
-        return self.p
-
-    def __index__(self):
-        return self.p
+def prime_modulus(p: int) -> int:
+    """p itself, once checked to be an odd prime with 3 <= p < 2^31."""
+    if not (3 <= p < MAX_MODULUS):
+        raise ValueError(f"modulus out of range: {p}")
+    if p % 2 == 0 or not is_prime(p):
+        raise ValueError(f"modulus must be an odd prime: {p}")
+    return p
 
 
-def _as_p(p) -> int:
-    return p.p if isinstance(p, PrimeModulus) else int(p)
-
-
-def fp_inv(a: int, p) -> int:
+def fp_inv(a: int, p: int) -> int:
     """Inverse of a mod p via extended Euclid (hot path: avoid powering)."""
-    p = _as_p(p)
     a %= p
     if a == 0:
         raise ZeroInverse(f"0 has no inverse mod {p}")
@@ -90,9 +53,8 @@ def fp_inv(a: int, p) -> int:
     return x0 % p
 
 
-def fp_sqrt_minus_one(p) -> int | None:
+def fp_sqrt_minus_one(p: int) -> int | None:
     """Smaller root i of i^2 = -1 mod p, or None when p = 3 (mod 4)."""
-    p = _as_p(p)
     if p % 4 != 1:
         return None
     # (g^((p-1)/4))^2 = -1 for any non-residue g; search g by trial.

@@ -16,7 +16,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import LemmaViolation, ParameterTooLarge, ZeroLambda
-from .fields import INFINITY, MAX_PRIME, fp_inv
+from .fields import MAX_PRIME, fp_inv
 from .matrices import Matrix, digit_planes, mat_mul, num_vertices, scalar_normalize
 
 SUBORBIT_ENUM_MAX = 10**6
@@ -170,12 +170,13 @@ def suborbit_indices(token: str, m: int, p: int) -> np.ndarray:
 
 
 def label_directions(token: str, p: int) -> tuple:
-    """Projective slopes of the simple directions in a suborbit.
+    """Point codes of the simple directions in a suborbit, sorted.
 
-    A -> (0, INFINITY); Lambda(k) -> the class slopes.  B has no direction.
+    A -> (0, p), the slope 0 and infinity; Lambda(k) -> the class slopes.
+    B has no direction.
     """
     if token == "A":
-        return (0, INFINITY)
+        return (0, p)
     if token.startswith("L"):
         return tuple(sorted(lambda_classes(p)[int(token[1:])]))
     raise ValueError(f"suborbit {token!r} has no direction set")

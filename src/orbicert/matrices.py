@@ -6,7 +6,11 @@ Conventions fixed once for the whole toolkit:
 * a tensor x (sum of X[i][j] * e_i (x) f_j) is stored as its 2 x m grid X,
   row 0 carrying the e_1 components;
 * the vertex index of x is sum(flat[k] * p^k) over the row-major flattening
-  of X (e_1 row first), giving a dense numbering 0 .. p^(2m)-1.
+  of X (e_1 row first), giving a dense numbering 0 .. p^(2m)-1; digit k of
+  every vertex is row k of ``digit_planes``, and ``horner_fold`` is the one
+  way from digits back to indices;
+* a point of the projective line is its code 0 .. p: the slope t, the line
+  through (1, t), is t, and infinity, the line through (0, 1), is p.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, ParameterTooLarge, Singular
-from .fields import INFINITY, fp_inv
+from .fields import fp_inv
 
 MAX_VERTICES = 10**7
 
@@ -145,11 +149,6 @@ def gl2_count(p: int) -> int:
     return (p * p - 1) * (p * p - p)
 
 
-def point_code(value, p: int) -> int:
-    """Code of a point of the projective line: slope t -> t, INFINITY -> p."""
-    return p if value is INFINITY else int(value) % p
-
-
 def _frame(u, v, w, p: int) -> tuple[int, int, int, int]:
     """Entries of a matrix sending e1, e2 and e1 + e2 to the points u, v, w:
     rows a u and b v with a u + b v = det(u, v) w (Cramer's rule)."""
@@ -249,12 +248,20 @@ def digit_planes(m: int, p: int) -> np.ndarray:
     return planes
 
 
-def encode_array(coords: np.ndarray, p: int) -> np.ndarray:
-    """Vectorized vertex indices for an (..., 2, m) coordinate array."""
-    m = coords.shape[-1]
-    flat = coords.reshape(*coords.shape[:-2], 2 * m)
-    radix = p ** np.arange(2 * m, dtype=np.int64)
-    return (flat % p) @ radix
+def horner_fold(digits, p: int) -> np.ndarray:
+    """int32 vertex indices sum(digit_k * p^k) from the digit arrays, given
+    last digit first, by Horner's rule: index = index * p + digit.
+
+    The one place that turns digits into vertex indices.  Each digit is
+    read once, before the next is drawn, so an iterator may refill one
+    buffer.
+    """
+    digits = iter(digits)
+    idx = np.array(next(digits), dtype=np.int32)
+    for digit in digits:
+        idx *= p
+        idx += digit
+    return idx
 
 
 def product_image(planes: np.ndarray, a: Matrix, b: Matrix, p: int) -> np.ndarray:
@@ -263,22 +270,22 @@ def product_image(planes: np.ndarray, a: Matrix, b: Matrix, p: int) -> np.ndarra
     Row-major flattening turns the grid map X -> a^T X b into
     flat -> flat @ kron(a, b), so image digit j is the sum over k of
     plane k times K[k, j], mod p.  Each image digit is summed in int32, one
-    plane at a time (2m (p - 1)^2 < 2^31 under the vertex gate), and folded
-    into the index by Horner's rule, last digit first.
+    plane at a time (2m (p - 1)^2 < 2^31 under the vertex gate), into one
+    buffer that ``horner_fold`` reads, last digit first.
     """
     kron = np.kron(a.array, b.array) % p
-    idx = np.zeros(planes.shape[1:], dtype=np.int32)
-    digit = np.empty_like(idx)
-    term = np.empty_like(idx)
-    for j in range(kron.shape[1] - 1, -1, -1):
-        digit.fill(0)
-        for k in np.flatnonzero(kron[:, j]):
-            np.multiply(planes[k], kron[k, j], out=term, dtype=np.int32)
-            digit += term
-        digit %= p
-        idx *= p
-        idx += digit
-    return idx
+    digit = np.empty(planes.shape[1:], dtype=np.int32)
+    term = np.empty_like(digit)
+
+    def image_digits():
+        for j in range(kron.shape[1] - 1, -1, -1):
+            digit.fill(0)
+            for k in np.flatnonzero(kron[:, j]):
+                np.multiply(planes[k], kron[k, j], out=term, dtype=np.int32)
+                np.add(digit, term, out=digit)
+            yield np.remainder(digit, p, out=digit)
+
+    return horner_fold(image_digits(), p)
 
 
 def linear_vertex_map(a: Matrix, b: Matrix, m: int, p: int) -> np.ndarray:

@@ -7,16 +7,11 @@ import numpy as np
 import pytest
 
 import orbicert.crossratio as crossratio
-from orbicert.crossratio import apply_formula, cross_ratio, permute_quad, projective_line
+from orbicert.crossratio import permute_quad
 from orbicert.errors import TableViolation
-from orbicert.matrices import (
-    encode_array,
-    num_vertices,
-    product_image,
-    vertex_table_size,
-)
+from orbicert.matrices import num_vertices, product_image, vertex_table_size
 
-from oracles import LinPart
+from oracles import LinPart, apply_formula, cross_ratio, encode_array
 
 
 def decode_array(idx, m: int, p: int) -> np.ndarray:
@@ -208,13 +203,13 @@ def cliques_through_zero(s, target, base=()):
 
 def table1_all_quadruples(p):
     """The reference for ``orbicert.crossratio.verify_table1``: every ordered
-    pairwise-distinct quadruple of the p+1 points, each of the 24 rows of
+    pairwise-distinct quadruple of the p+1 point codes, each of the 24 rows of
     ``PERMUTATION_ROWS`` (read at call time) by the scalar cross-ratio and
     formula, with no frame argument.  Raises TableViolation on the first
     disagreement; returns the number of quadruples checked.
     """
     count = 0
-    for quad in itertools.permutations(projective_line(p), 4):
+    for quad in itertools.permutations(range(p + 1), 4):
         r = cross_ratio(quad, p)
         for sigma, row in crossratio.PERMUTATION_ROWS.items():
             direct = cross_ratio(permute_quad(sigma, quad), p)

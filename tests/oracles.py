@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -20,17 +20,17 @@ import orbicert.cliques as cliques
 import orbicert.digraphs as digraphs
 from orbicert.certify import (
     DirectionSet,
-    _block,
     _gl_lift,
     delta_indices,
     obstruction_polynomials,
 )
 from orbicert.cliques import MuConfig, pi_functional, projection_coeffs
-from orbicert.crossratio import PERMUTATION_ROWS, apply_formula
+from orbicert.crossratio import PERMUTATION_ROWS, homogeneous
 from orbicert.digraphs import ConnectionSet, VertexPermutation, _vertex
 from orbicert.errors import (
     BadDecomposition,
     DegenerateConfig,
+    DegenerateQuad,
     DegenerateLambda,
     DimensionMismatch,
     IndexOutOfRange,
@@ -38,11 +38,10 @@ from orbicert.errors import (
     Singular,
     ZeroTensor,
 )
-from orbicert.fields import INFINITY, PrimeModulus, _as_p, fp_inv
+from orbicert.fields import fp_inv, prime_modulus
 from orbicert.groups import SUBORBIT_ENUM_MAX, canonical_lambda, d8_elements, suborbit_indices
 from orbicert.matrices import (
     Matrix,
-    encode_array,
     linear_vertex_map,
     mat_inv,
     mat_mul,
@@ -58,14 +57,14 @@ from orbicert.matrices import (
 
 def fp_normalize(n: int, p) -> int:
     """Canonical residue of a (possibly signed) integer mod p."""
-    return n % _as_p(p)
+    return n % p
 
 
 def fp_pow(a: int, n: int, p) -> int:
     """a**n mod p by square-and-multiply; 0**0 = 1 by convention."""
     if n < 0:
         raise ValueError("exponent must be nonnegative")
-    return pow(a % _as_p(p), n, _as_p(p))
+    return pow(a % p, n, p)
 
 
 @dataclass(frozen=True)
@@ -73,16 +72,16 @@ class FpElement:
     """A canonical residue paired with its modulus."""
 
     value: int
-    modulus: PrimeModulus
+    modulus: int
 
     def __post_init__(self):
-        if not (0 <= self.value < self.modulus.p):
-            raise ValueError(f"non-canonical residue {self.value} mod {self.modulus.p}")
+        if not (0 <= self.value < self.modulus):
+            raise ValueError(f"non-canonical residue {self.value} mod {self.modulus}")
 
     @classmethod
-    def of(cls, n: int, p) -> "FpElement":
-        pm = p if isinstance(p, PrimeModulus) else PrimeModulus(int(p))
-        return cls(n % pm.p, pm)
+    def of(cls, n: int, p: int) -> "FpElement":
+        p = prime_modulus(int(p))
+        return cls(n % p, p)
 
     def _lift(self, other) -> "FpElement":
         if isinstance(other, FpElement):
@@ -93,40 +92,40 @@ class FpElement:
 
     def __add__(self, other):
         o = self._lift(other)
-        return FpElement((self.value + o.value) % self.modulus.p, self.modulus)
+        return FpElement((self.value + o.value) % self.modulus, self.modulus)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._lift(other)
-        return FpElement((self.value - o.value) % self.modulus.p, self.modulus)
+        return FpElement((self.value - o.value) % self.modulus, self.modulus)
 
     def __rsub__(self, other):
         return self._lift(other) - self
 
     def __mul__(self, other):
         o = self._lift(other)
-        return FpElement((self.value * o.value) % self.modulus.p, self.modulus)
+        return FpElement((self.value * o.value) % self.modulus, self.modulus)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return FpElement((-self.value) % self.modulus.p, self.modulus)
+        return FpElement((-self.value) % self.modulus, self.modulus)
 
     def inv(self) -> "FpElement":
-        return FpElement(fp_inv(self.value, self.modulus.p), self.modulus)
+        return FpElement(fp_inv(self.value, self.modulus), self.modulus)
 
     def __truediv__(self, other):
         return self * self._lift(other).inv()
 
     def __pow__(self, n: int):
-        return FpElement(fp_pow(self.value, n, self.modulus.p), self.modulus)
+        return FpElement(fp_pow(self.value, n, self.modulus), self.modulus)
 
     def __int__(self):
         return self.value
 
     def __repr__(self):
-        return f"{self.value} (mod {self.modulus.p})"
+        return f"{self.value} (mod {self.modulus})"
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +176,16 @@ def gl2_enumerate(p: int):
                     if (c, d) in multiples:
                         continue
                     yield Matrix(((a, b), (c, d)), p)
+
+
+def encode_array(coords: np.ndarray, p: int) -> np.ndarray:
+    """Vectorized vertex indices for an (..., 2, m) coordinate array, in
+    int64: the reference for ``orbicert.matrices.horner_fold`` on the
+    uint16 digit planes."""
+    m = coords.shape[-1]
+    flat = coords.reshape(*coords.shape[:-2], 2 * m)
+    radix = p ** np.arange(2 * m, dtype=np.int64)
+    return (flat % p) @ radix
 
 
 def encode_coords(flat, p: int) -> int:
@@ -567,8 +576,24 @@ def ell_clique(clique: CliqueId, cfg: MuConfig) -> frozenset[int]:
     if not 0 <= clique.rep < n:
         raise IndexOutOfRange(f"representative {clique.rep} outside 0..{n - 1}")
     rep = Tensor.from_index(clique.rep, cfg.m, cfg.p).coords.array
-    coset = rep + _block(cfg, cfg.partner(clique.i))
+    coset = rep + direction_block_coords(cfg, cfg.partner(clique.i))
     return frozenset(encode_array(coset, cfg.p).tolist())
+
+
+def direction_block_coords(cfg: MuConfig, i: int) -> np.ndarray:
+    """The direction block (e1 + mu_i e2) (x) W: the digit rows [w | mu_i w]
+    as (p^m, 2, m) coordinates, unreduced, for w in W in index order (0
+    first, then e_1)."""
+    p, m = cfg.p, cfg.m
+    w = np.arange(p**m)[:, None] // p ** np.arange(m) % p
+    return np.stack([w, cfg.mu(i) * w], axis=1)
+
+
+def delta_indices_coords(cfg: MuConfig) -> np.ndarray:
+    """The reference for ``orbicert.certify.delta_indices``: every block
+    built as coordinates and encoded in int64."""
+    blocks = [encode_array(direction_block_coords(cfg, i)[1:], cfg.p) for i in cfg.index_set]
+    return np.sort(np.concatenate(blocks))
 
 
 def delta_connection_set(cfg: MuConfig) -> ConnectionSet:
@@ -661,11 +686,69 @@ def hamming_check_2m(s: ConnectionSet, d1, d2) -> bool:
     return True
 
 
+def hamming_witness_coords(d1: int, d2: int, m: int, p: int) -> np.ndarray:
+    """The reference for the mapping of ``orbicert.digraphs.hamming_witness``:
+    the moved vertices c v1 (x) f_1 + v2 (x) b, c in {1, 2}, built as
+    (p^m, 2, m) coordinates from the rows v1, v2 of the splitting factor and
+    encoded in int64."""
+    g, _ = digraphs._splitting(d1, d2, p)
+    v1, v2 = np.array(g.entries)[:, :, None]
+    w = np.arange(p**m)[:, None] // p ** np.arange(m) % p
+    side = v2 * w[:, None]  # v2 (x) b as (p^m, 2, m) coordinates, b in index order
+    f1 = v1 * (np.arange(m) == 0)  # v1 (x) f_1
+    one, two = (encode_array(side + c * f1, p) for c in (1, 2))
+    mapping = np.arange(num_vertices(m, p))
+    mapping[one], mapping[two] = two, one
+    return mapping
+
+
 # ---------------------------------------------------------------------------
 # cross-ratio closed forms
 
 
 KLEIN_FOUR = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
+
+
+def _det(u, v, p: int) -> int:
+    return (u[0] * v[1] - u[1] * v[0]) % p
+
+
+def cross_ratio(quad, p: int) -> int:
+    """Cross-ratio of four pairwise-distinct point codes, as a point code.
+
+    Evaluates det(A,C) det(B,D) / (det(B,C) det(A,D)) on homogeneous lifts,
+    one quadruple at a time: the reference for
+    ``orbicert.crossratio.verify_table1``.
+    """
+    a, b, c, d = (homogeneous(k, p) for k in quad)
+    pts = (a, b, c, d)
+    for u, v in combinations(pts, 2):
+        if _det(u, v, p) == 0:
+            raise DegenerateQuad(f"parameters not pairwise distinct: {quad}")
+    num = _det(a, c, p) * _det(b, d, p) % p
+    den = _det(b, c, p) * _det(a, d, p) % p
+    if den == 0:
+        return p
+    return num * fp_inv(den, p) % p
+
+
+def apply_formula(row: str, r: int, p: int) -> int:
+    """Evaluate one of the six classical transforms of r (r not 0, 1, inf)."""
+    if r in (0, 1, p):
+        raise DegenerateQuad("transform table applies to r outside {0, 1, inf}")
+    if row == "r":
+        return r
+    if row == "r/(r-1)":
+        return r * fp_inv(r - 1, p) % p
+    if row == "1-r":
+        return (1 - r) % p
+    if row == "1/r":
+        return fp_inv(r, p)
+    if row == "1/(1-r)":
+        return fp_inv(1 - r, p)
+    if row == "(r-1)/r":
+        return (r - 1) * fp_inv(r, p) % p
+    raise ValueError(f"unknown formula {row!r}")
 
 
 def permuted_cross_ratio(sigma, r, p: int):
@@ -687,7 +770,7 @@ def lambda_quad_cross_ratio(lam: int, p: int):
     num = (lam * lam - 1) ** 2 % p
     den = (lam * lam + 1) ** 2 % p
     if den == 0:
-        return INFINITY
+        return p
     return num * fp_inv(den, p) % p
 
 
@@ -699,8 +782,8 @@ def realized(ds: DirectionSet) -> frozenset[tuple[int, int]]:
     """Union of the one-spaces of a direction set, minus zero."""
     p = ds.p
     out = set()
-    for d in ds.points:
-        v = (0, 1) if d is INFINITY else (1, int(d) % p)
+    for d in ds.codes:
+        v = homogeneous(d, p)
         for k in range(1, p):
             out.add(((k * v[0]) % p, (k * v[1]) % p))
     return frozenset(out)

@@ -40,9 +40,8 @@ from orbicert.certify import (
     stabilizer_intersection_report,
 )
 from orbicert.cliques import MuConfig, verify_clique_axioms
-from orbicert.crossratio import cross_ratio, lambda_quad, verify_table1
+from orbicert.crossratio import lambda_quad, verify_table1
 from orbicert.digraphs import is_connected, orbital_union_set
-from orbicert.fields import INFINITY
 from orbicert.groups import (
     g0_contains,
     lambda_classes,
@@ -52,7 +51,14 @@ from orbicert.groups import (
 )
 from orbicert.matrices import Matrix, num_vertices
 
-from oracles import CliqueId, LinPart, delta_connection_set, ell_clique, lambda_quad_cross_ratio
+from oracles import (
+    CliqueId,
+    LinPart,
+    cross_ratio,
+    delta_connection_set,
+    ell_clique,
+    lambda_quad_cross_ratio,
+)
 
 
 class Budget:
@@ -176,7 +182,7 @@ def _pair_report(p):
             DirectionSet(ds, p)
             for ds in {
                 5: ((1, 4), (2, 3)),
-                7: ((0, INFINITY), (1, 6)),
+                7: ((0, 7), (1, 6)),  # 7 is infinity
                 13: ((2, 6, 7, 11), (3, 4, 9, 10)),
             }[p]
         ],
@@ -217,7 +223,7 @@ def test_criterion_06_stabilizer_intersections():
         assert rep["intersection_order"] == 144
         repaired = stabilizer_intersection_report(
             [
-                DirectionSet((0, INFINITY), 13),
+                DirectionSet((0, 13), 13),  # 13 is infinity
                 DirectionSet((1, 12), 13),
                 DirectionSet((2, 6, 7, 11), 13),
                 DirectionSet((3, 4, 9, 10), 13),

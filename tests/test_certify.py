@@ -26,7 +26,6 @@ from orbicert.certify import (
 )
 from orbicert.digraphs import VertexPermutation, label_transitions, orbital_union_set
 from orbicert.errors import CertificationFailed, DegenerateLambda, ParameterTooLarge
-from orbicert.fields import INFINITY
 from orbicert.groups import (
     classify_all,
     d8_elements,
@@ -44,13 +43,25 @@ def test_direction_set_realized():
     assert len(realized(ds)) == 2 * 4
     assert (2, 2) in realized(ds) and (1, 4) in realized(ds)
     assert (0, 0) not in realized(ds)
-    with pytest.raises(ValueError):
-        DirectionSet((1, 6), 5)  # 6 = 1 mod 5, duplicate
+    with pytest.raises(ValueError, match="duplicate"):
+        DirectionSet((1, 1), 5)
+
+
+def test_direction_sets_hold_point_codes_0_to_p():
+    # code p is infinity, not 0: no code is reduced mod p
+    ds = DirectionSet((0, 5), 5)
+    assert ds.codes == (0, 5) and ds.describe() == [0, "inf"]
+    assert len(realized(ds)) == 2 * 4 and (0, 1) in realized(ds)
+    for bad in ((1, 6), (-1, 2), (10,)):
+        with pytest.raises(ValueError, match="outside"):
+            DirectionSet(bad, 5)
+    with pytest.raises(ValueError, match="nonempty"):
+        DirectionSet((), 5)
 
 
 def test_stabilizer_of_everything_is_gl2():
     p = 5
-    ds = DirectionSet(tuple(range(p)) + (INFINITY,), p)
+    ds = DirectionSet(tuple(range(p + 1)), p)
     assert len(setwise_stabilizer_gl2(ds)) == 480
 
 
@@ -64,7 +75,7 @@ def test_stabilizer_is_a_subgroup():
 
 
 def test_d8_inside_stabilizers_of_closed_direction_sets():
-    for p, dirs in [(5, (1, 4)), (7, (0, INFINITY)), (13, (2, 6, 7, 11)), (13, (5, 8))]:
+    for p, dirs in [(5, (1, 4)), (7, (0, 7)), (13, (2, 6, 7, 11)), (13, (5, 8))]:
         stab = set(setwise_stabilizer_gl2(DirectionSet(dirs, p)))
         assert set(d8_elements(p).elements) <= stab
 
@@ -93,7 +104,7 @@ def test_pair_intersection_p5():
 
 def test_pair_intersection_p7_corrected_directions():
     rep = stabilizer_intersection_report(
-        [DirectionSet((0, INFINITY), 7), DirectionSet((1, 6), 7)], 7
+        [DirectionSet((0, 7), 7), DirectionSet((1, 6), 7)], 7
     )
     assert rep["gl2_enumerated"] == 2016
     assert rep["intersection_order"] == 24
@@ -107,7 +118,7 @@ def test_direction_pair_not_dihedral_closed_fails_to_pin():
     # axis-pair stabilizer has order 12 and misses 6 of the 8 dihedral
     # matrices.
     rep = stabilizer_intersection_report(
-        [DirectionSet((0, INFINITY), 7), DirectionSet((1, 4), 7)], 7
+        [DirectionSet((0, 7), 7), DirectionSet((1, 4), 7)], 7
     )
     assert rep["intersection_order"] == 12
     assert not rep["intersection_equals_scalar_closure_of_d8"]
@@ -304,17 +315,18 @@ def test_connection_set_size_is_the_size_of_the_union(p):
 
 def test_one_vertex_map_per_linear_witness_matrix(monkeypatch):
     # the 62 unions at p = 13 are checked with 9 distinct linear matrices;
-    # product_image is counted under every module name it is bound to
+    # the map of all vertices is counted under every module name it is
+    # bound to (a Hamming witness maps only the 2 p^m vertices it moves)
     calls = []
-    real = matrices.product_image
+    real = matrices.linear_vertex_map
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
     for module in (matrices, digraphs):
-        if hasattr(module, "product_image"):
-            monkeypatch.setattr(module, "product_image", counting)
+        if hasattr(module, "linear_vertex_map"):
+            monkeypatch.setattr(module, "linear_vertex_map", counting)
     cert = certify_not_digraph_group(13, 2)
     assert cert.status == "verified"
     assert cert.evidence["unions_checked"] == 62

@@ -117,6 +117,7 @@ def test_invalid_config_exit_2(capsys):
         ("verify", "two-closed", "--p", "11"),
         ("scan", "--max-prime", "4"),
         ("verify", "cliques", "--p", "7", "--mu", "1,x,3,4"),
+        ("verify", "lemma", "table3", "--p", "5"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
@@ -325,10 +326,29 @@ def test_a_non_dihedral_collineation_fails_table3_under_python_O():
 
 
 def test_lemmas_are_timed():
-    cfg = cli.RunConfig(command="cliques", p=7, z=4, mus=(2, 3, 4, 5))
-    (cert,) = cli.dispatch(cfg)
-    assert cert.status == "verified"
-    assert cert.elapsed_ms > 0
+    for cfg in (
+        cli.RunConfig(command="cliques", p=7, z=4, mus=(2, 3, 4, 5)),
+        cli.RunConfig(command="rank", p=13),
+        cli.RunConfig(command="scan"),
+        cli.RunConfig(command="two-closed", p=5),
+        cli.RunConfig(command="theorem-q5"),
+        cli.RunConfig(command="q17"),
+    ):
+        (cert,) = cli.dispatch(cfg)
+        assert cert.status == "verified", cfg.command
+        assert cert.elapsed_ms > 0, cfg.command
+
+
+def test_infinity_is_written_inf_in_the_hamming_evidence(capsys):
+    code, out, _ = run_cli(capsys, "verify", "lemma", "hamming-A", "--p", "5", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["certificates"][0]["evidence"]["directions"] == [0, "inf"]
+    code, out, _ = run_cli(capsys, "verify", "theorem-q5", "--format", "json")
+    assert code == 0
+    unions = json.loads(out)["certificates"][0]["evidence"]["unions"]
+    (axis,) = [u for u in unions if u["connection_set_labels"] == ["A"]]
+    assert axis["witness_kind"] == "hamming"
+    assert axis["witness_data"]["block_directions"] == [0, "inf"]
 
 
 def test_out_file(tmp_path, capsys):

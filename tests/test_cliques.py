@@ -29,6 +29,7 @@ from oracles import (
     Tensor,
     clique_identities_2m,
     delta_connection_set,
+    delta_indices_coords,
     ell_clique,
     pi_projection,
     tensor_from_projections,
@@ -470,6 +471,26 @@ def test_the_direction_blocks_are_the_kernels_of_the_projections(cfg):
     kernels = np.flatnonzero(vanish)[1:]
     assert np.array_equal(delta_indices(cfg), kernels)
     assert kernels.size == verify_clique_axioms(cfg)["connection_set_size"]
+
+
+@pytest.mark.parametrize(
+    "p, m, mus",
+    [
+        (5, 2, (1, 2, 3, 4)),
+        (5, 2, (0, 4, 2, 3)),
+        (7, 2, (2, 3, 4, 5)),
+        (7, 2, (0, 1, 2, 3, 4, 5)),
+        (13, 2, (2, 6, 7, 11)),
+        (13, 2, (1, 12, 5, 8, 3, 10)),
+        (5, 3, (1, 2, 3, 4)),
+        (7, 3, (6, 5, 4, 3)),
+    ],
+)
+def test_delta_indices_is_the_coordinate_oracle(p, m, mus):
+    # the blocks as images of the rows [w | 0] under ((1, mu), (0, 1)) (x)
+    # I_m, against the rows [w | mu w] built as coordinates
+    cfg = MuConfig(z=len(mus), mus=mus, m=m, p=p)
+    assert np.array_equal(delta_indices(cfg), delta_indices_coords(cfg))
 
 
 @pytest.mark.parametrize("cfg", [CFG5, CFG7Z6], ids=["p5", "p7z6"])

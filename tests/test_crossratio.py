@@ -9,18 +9,26 @@ import orbicert.crossratio as crossratio
 from orbicert.crossratio import (
     PERMUTATION_ROWS,
     check_v4_collineations,
-    cross_ratio,
     fractional_action,
     lambda_quad,
     permute_quad,
-    projective_line,
     verify_table1,
 )
-from orbicert.errors import DegenerateQuad, ParameterTooLarge, TableViolation
-from orbicert.fields import INFINITY
+from orbicert.errors import (
+    DegenerateQuad,
+    InvalidConfig,
+    LemmaViolation,
+    ParameterTooLarge,
+    TableViolation,
+)
 from orbicert.matrices import Matrix
 
-from oracles import klein_four_classifier, lambda_quad_cross_ratio, permuted_cross_ratio
+from oracles import (
+    cross_ratio,
+    klein_four_classifier,
+    lambda_quad_cross_ratio,
+    permuted_cross_ratio,
+)
 
 
 def test_cross_ratio_frozen_values():
@@ -28,7 +36,7 @@ def test_cross_ratio_frozen_values():
     assert cross_ratio((0, 1, 2, 3), 7) == 6
     for p in (5, 7, 13):
         for t in range(2, p):
-            assert cross_ratio((INFINITY, 0, 1, t), p) == t
+            assert cross_ratio((p, 0, 1, t), p) == t  # code p is infinity
 
 
 def test_cross_ratio_of_direction_quadruple():
@@ -46,14 +54,14 @@ def test_degenerate_quads_raise():
     with pytest.raises(DegenerateQuad):
         cross_ratio((0, 0, 1, 2), 7)
     with pytest.raises(DegenerateQuad):
-        cross_ratio((INFINITY, INFINITY, 1, 2), 7)
+        cross_ratio((7, 7, 1, 2), 7)
 
 
 def test_cross_ratio_avoids_special_values():
     p = 11
     for quad in itertools.permutations(range(5), 4):
         r = cross_ratio(quad, p)
-        assert r is not INFINITY and r not in (0, 1)
+        assert r not in (0, 1, p)
 
 
 def test_permuted_cross_ratio_rows():
@@ -65,6 +73,15 @@ def test_permuted_cross_ratio_rows():
     assert permuted_cross_ratio((1, 0, 2, 3), r, p) == fp_inv(r, p)
     # the 3-cycle through labels 0, 1, 3 gives 1/(1-r)
     assert permuted_cross_ratio((1, 3, 2, 0), r, p) == fp_inv((1 - r) % p, p)
+
+
+def test_the_table_rows_at_one_generic_quadruple_mod_101():
+    # one rational check per permutation pins each row
+    p, quad = 101, (0, 1, 3, 10)
+    r = cross_ratio(quad, p)
+    for sigma, row in PERMUTATION_ROWS.items():
+        direct = cross_ratio(permute_quad(sigma, quad), p)
+        assert direct == permuted_cross_ratio(sigma, r, p), sigma
 
 
 def test_table_is_complete_and_consistent():
@@ -96,12 +113,30 @@ def test_the_frame_verdict_is_the_all_quadruple_verdict(monkeypatch, p, table1_a
         assert err.value.sigma == (0, 2, 1, 3)
 
 
+def test_table1_counterexamples_write_infinity_as_inf(monkeypatch):
+    # the frames are (inf, 0, 1, x), codes (p, 0, 1, x); a wrong row for the
+    # transposition of Q and R fails at the first of them
+    rows = {**PERMUTATION_ROWS, (0, 2, 1, 3): "1/r"}
+    monkeypatch.setattr(crossratio, "PERMUTATION_ROWS", rows)
+    with pytest.raises(TableViolation) as err:
+        verify_table1(7)
+    assert err.value.quad == ("inf", 0, 1, 2)
+    monkeypatch.setattr(crossratio, "PERMUTATION_ROWS", PERMUTATION_ROWS)
+    # infinity lifted as the slope 0: every frame has cross-ratio 1
+    real = crossratio.homogeneous
+    monkeypatch.setattr(crossratio, "homogeneous", lambda k, p: real(0 if k == p else k, p))
+    with pytest.raises(LemmaViolation) as err:
+        verify_table1(7)
+    assert err.value.lemma == "table1-cross-ratio"
+    assert err.value.counterexample == {"quad": ("inf", 0, 1, 2), "cross_ratio": 1}
+
+
 def test_verify_table1_refuses_a_prime_over_the_scan_ceiling(monkeypatch):
     # 10007 is the first prime above 10^4: refused before the line is built
-    def no_line(p):
+    def no_line(k, p):
         raise AssertionError("projective line built")
 
-    monkeypatch.setattr(crossratio, "projective_line", no_line)
+    monkeypatch.setattr(crossratio, "homogeneous", no_line)
     with pytest.raises(ParameterTooLarge, match="10007"):
         verify_table1(10007)
 
@@ -109,7 +144,7 @@ def test_verify_table1_refuses_a_prime_over_the_scan_ceiling(monkeypatch):
 def test_fractional_action_and_invariance():
     rng = random.Random(43)
     p = 13
-    line = projective_line(p)
+    line = range(p + 1)
     for _ in range(500):
         quad = rng.sample(line, 4)
         while True:
@@ -154,11 +189,13 @@ def test_klein_four_classifier():
 
 
 def test_v4_collineations_all_primes():
-    for p in (5, 7, 13, 17):
+    for p in (3, 5, 7, 13, 17):
+        if p < 7:
+            # every fourth power is 1 mod 3 and mod 5, so no nondegenerate
+            # quadruple: refused, not passed with nothing checked
+            with pytest.raises(InvalidConfig, match="degenerate"):
+                check_v4_collineations(p)
+            continue
         out = check_v4_collineations(p)
         assert out["status"] == "pass"
-        if p == 5:
-            # every fourth power is 1 mod 5, so no nondegenerate quadruple
-            assert out["instances_checked"] == 0
-        else:
-            assert out["instances_checked"] > 0
+        assert out["instances_checked"] > 0

@@ -21,11 +21,18 @@ from orbicert.digraphs import (
 )
 from orbicert.crossratio import homogeneous
 from orbicert.errors import BadDecomposition, EmptyUnion, IndexOutOfRange
-from orbicert.fields import INFINITY
 from orbicert.groups import d8_elements, nontrivial_labels, suborbit_indices
-from orbicert.matrices import Matrix, digit_planes, encode_array, num_vertices
+from orbicert.matrices import Matrix, digit_planes, num_vertices
 
-from oracles import LinPart, Tensor, hamming_check_2m, is_arc, permutation_from_linear
+from oracles import (
+    LinPart,
+    Tensor,
+    encode_array,
+    hamming_check_2m,
+    hamming_witness_coords,
+    is_arc,
+    permutation_from_linear,
+)
 
 
 def negated(coords, idx, p):
@@ -220,10 +227,10 @@ def test_stabilizer_acts_as_automorphisms(preserves_set):
 def test_hamming_identifications():
     m = 2
     for p, dirs, label in [
-        (5, (0, INFINITY), "A"),
+        (5, (0, 5), "A"),  # code p is infinity
         (5, (1, 4), "L1"),
         (5, (2, 3), "L2"),  # 2^2 = -1 at p=5
-        (7, (0, INFINITY), "A"),
+        (7, (0, 7), "A"),
         (7, (1, 6), "L1"),
     ]:
         s = orbital_union_set([label], m, p)
@@ -234,7 +241,7 @@ def test_hamming_identifications():
 def test_hamming_check_rejects_wrong_set():
     m, p = 2, 5
     with pytest.raises(BadDecomposition):
-        hamming_check(orbital_union_set(["B"], m, p), 0, INFINITY)
+        hamming_check(orbital_union_set(["B"], m, p), 0, p)
     with pytest.raises(BadDecomposition):
         hamming_check(orbital_union_set(["A"], m, p), 1, 1)
 
@@ -242,7 +249,7 @@ def test_hamming_check_rejects_wrong_set():
 def test_hamming_witness_certificates():
     m, p = 2, 5
     s = orbital_union_set(["A"], m, p)
-    w = hamming_witness(0, INFINITY, m, p)
+    w = hamming_witness(0, p, m, p)
     assert w.mapping[0] == 0
     assert w.is_automorphism(s)
     assert w.nonadditive_witness() is not None
@@ -253,6 +260,18 @@ def test_hamming_witness_certificates():
     moved = np.flatnonzero(w.mapping != index)
     assert np.array_equal(moved, np.flatnonzero(np.isin(index % p**m, [1, 2])))
     assert np.array_equal(w.mapping[moved] % p**m, 3 - moved % p**m)
+
+
+@pytest.mark.parametrize("p, m", [(3, 2), (5, 2), (7, 2), (13, 2), (5, 3), (3, 4)])
+def test_hamming_witness_is_the_coordinate_oracle(p, m):
+    # the moved vertices as images of the digit planes under (g, I_m)
+    # against the (p^m, 2, m) coordinates, for every capable pair, both
+    # orders, infinity (code p) included
+    capable = list(filter(None, (hamming_capable(t, p) for t in nontrivial_labels(p))))
+    assert (0, p) in capable
+    for d1, d2 in capable + [(d2, d1) for d1, d2 in capable]:
+        got = hamming_witness(d1, d2, m, p).mapping
+        assert np.array_equal(got, hamming_witness_coords(d1, d2, m, p)), (d1, d2)
 
 
 def test_linear_permutations_are_affine():
@@ -398,8 +417,8 @@ def test_arc_check_agrees_with_the_unhalved_reference(all_coords):
         swaps=st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3),
         tokens=st.sets(st.sampled_from(labels), min_size=1),
     )
-    @example(base=hamming_witness(0, INFINITY, m, p).mapping, swaps=[], tokens={"A"})
-    @example(base=hamming_witness(0, INFINITY, m, p).mapping, swaps=[(1, 2)], tokens={"A"})
+    @example(base=hamming_witness(0, p, m, p).mapping, swaps=[], tokens={"A"})
+    @example(base=hamming_witness(0, p, m, p).mapping, swaps=[(1, 2)], tokens={"A"})
     def check(base, swaps, tokens):
         mapping = base.copy()
         for i, j in swaps:
@@ -492,9 +511,9 @@ def test_hamming_check_refuses_a_wrong_inverse(monkeypatch):
     m, p = 2, 5
     s = orbital_union_set(["A"], m, p)
     real = digraphs._splitting
-    assert hamming_check(s, 0, INFINITY)
+    assert hamming_check(s, 0, p)
     monkeypatch.setattr(digraphs, "_splitting", lambda *a: (real(*a)[0], real(*a)[1].scaled(2)))
-    assert hamming_check(s, 0, INFINITY) is False
+    assert hamming_check(s, 0, p) is False
 
 
 def _hamming_verdict(check, s, d1, d2):
@@ -539,28 +558,35 @@ def test_hamming_check_refuses_a_set_that_is_not_the_two_blocks(all_coords):
     )
     assert len(traded) == len(s) == 2 * (p**m - 1)
     with pytest.raises(BadDecomposition):
-        hamming_check(traded, 0, INFINITY)
+        hamming_check(traded, 0, p)
     subset = ConnectionSet([v for v in s.members.tolist() if v not in drop], m, p)
     with pytest.raises(BadDecomposition):
-        hamming_check(subset, 0, INFINITY)
+        hamming_check(subset, 0, p)
 
 
 def test_arc_checks_do_not_reencode_per_member(monkeypatch):
-    # the digit planes and the splitting matrices replace encode_array inside
-    # the exhaustive checks
+    # the arc check folds digits into indices twice per block of moved
+    # vertices, never once per member of S; the Hamming check and the
+    # additivity scan fold none
     m, p = 2, 5
     s = orbital_union_set(["A"], m, p)
     comp = orbital_union_set(sorted(complement_labels(["A"], p)), m, p)
-    w = hamming_witness(0, INFINITY, m, p)
-    calls = []
+    w = hamming_witness(0, p, m, p)
+    moved = np.count_nonzero(w.mapping != np.arange(w.mapping.size))
+    real, calls = digraphs.horner_fold, []
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         calls.append(1)
-        return encode_array(*args, **kwargs)
+        return real(*args)
 
-    monkeypatch.setattr(digraphs, "encode_array", counting)
-    assert w.is_automorphism(s) and w.is_automorphism(comp)
-    assert hamming_check(s, 0, INFINITY)
+    monkeypatch.setattr(digraphs, "horner_fold", counting)
+    for union in (s, comp):
+        calls.clear()
+        assert w.is_automorphism(union)
+        block = w.mapping.size // len(union)
+        assert len(calls) == 2 * -(-moved // block) < len(union)
+    calls.clear()
+    assert hamming_check(s, 0, p)
     assert w.nonadditive_witness() is not None
     assert len(calls) == 0
 
@@ -568,7 +594,7 @@ def test_arc_checks_do_not_reencode_per_member(monkeypatch):
 def test_complement_duality(preserves_set):
     # an automorphism of a union digraph is one of the complement union
     m, p = 2, 5
-    w = hamming_witness(0, INFINITY, m, p)
+    w = hamming_witness(0, p, m, p)
     u = orbital_union_set(["A"], m, p)
     comp = orbital_union_set(sorted(complement_labels(["A"], p)), m, p)
     assert w.is_automorphism(u)

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbicert.errors import ZeroInverse
-from orbicert.fields import PrimeModulus, fp_inv, fp_sqrt_minus_one, is_prime
+from orbicert.fields import fp_inv, fp_sqrt_minus_one, is_prime, prime_modulus
 
 from oracles import FpElement, fp_normalize, fp_pow
 
@@ -112,15 +112,15 @@ def test_normalize():
 
 
 def test_prime_modulus_validation():
-    PrimeModulus(3)
-    PrimeModulus(2**31 - 1)  # largest allowed prime
+    assert prime_modulus(3) == 3
+    assert prime_modulus(2**31 - 1) == 2**31 - 1  # largest allowed prime
     for bad in (1, 2, 4, 9, 15, 2**31 + 11):
         with pytest.raises(ValueError):
-            PrimeModulus(bad)
+            prime_modulus(bad)
 
 
 def test_fp_element_operators():
-    p = PrimeModulus(13)
+    p = prime_modulus(13)
     a = FpElement.of(7, p)
     b = FpElement.of(9, p)
     assert int(a + b) == 3

@@ -13,7 +13,6 @@ from orbicert.matrices import (
     MAX_VERTICES,
     Matrix,
     digit_planes,
-    encode_array,
     gl2_count,
     mat_inv,
     mat_mul,
@@ -26,6 +25,7 @@ from oracles import (
     LinPart,
     Tensor,
     decode_index,
+    encode_array,
     encode_coords,
     gl2_enumerate,
     mat_rank,

@@ -21,11 +21,11 @@ from orbicert.certify import (
     obstruction_polynomials,
     search_linear_witness,
 )
-from orbicert.crossratio import fractional_action, lambda_quad, projective_line
+from orbicert.crossratio import fractional_action, lambda_quad
 from orbicert.digraphs import orbital_union_set
 from orbicert.fields import is_prime
 from orbicert.groups import g0_contains, label_directions, nontrivial_labels, v4_representatives
-from orbicert.matrices import Matrix, mat_mul, pgl2_stabilizer, point_code, scalar_normalize
+from orbicert.matrices import Matrix, mat_mul, pgl2_stabilizer, scalar_normalize
 
 from oracles import LinPart, gl2_enumerate, realized, setwise_stabilizer_gl2
 
@@ -35,7 +35,7 @@ PRIMES = (5, 7)
 def label_codes(token, p):
     if token == "B":
         return []
-    return [point_code(d, p) for d in label_directions(token, p)]
+    return list(label_directions(token, p))
 
 
 @lru_cache(maxsize=None)
@@ -43,7 +43,7 @@ def pgl2_classes(p):
     """Normalized classes of GL(2,p), sorted, each with its point permutation."""
     classes = {scalar_normalize(a)[0] for a in gl2_enumerate(p)}
     return [
-        (a, tuple(point_code(fractional_action(a, t, p), p) for t in projective_line(p)))
+        (a, tuple(fractional_action(a, k, p) for k in range(p + 1)))
         for a in sorted(classes, key=lambda m: m.entries)
     ]
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orbicert.certify import Certificate, scan_primes
+from orbicert.certify import Certificate
+from orbicert.cli import RunConfig, dispatch
 from orbicert.cliques import MuConfig, verify_clique_axioms
 from orbicert.digraphs import is_connected, orbital_union_set
 from orbicert.errors import EmptyUnion, ParameterTooLarge
@@ -48,8 +49,9 @@ def test_mixed_status_summary():
 
 
 def test_json_determinism_includes_timing_normalization():
-    a = scan_primes(100)
-    b = scan_primes(100)
+    # the command front end times each certificate
+    (a,) = dispatch(RunConfig(command="scan", max_prime=100))
+    (b,) = dispatch(RunConfig(command="scan", max_prime=100))
     assert a.elapsed_ms != 0
     out1 = emit_report([a], "json", {"seed": 1})
     out2 = emit_report([b], "json", {"seed": 1})
