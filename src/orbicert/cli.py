@@ -110,8 +110,8 @@ def lemma(name: str, cfg: RunConfig) -> Certificate:
             if i is None:
                 raise InvalidConfig(f"p={p} has no square root of -1")
             label = f"L{i}"  # the class {i, -i} of the smaller root
+        s = orbital_union_set([label], m, p)  # the vertex gate, before any class
         dirs = label_directions(label, p)
-        s = orbital_union_set([label], m, p)
         return _wrap(
             f"lemma:{name}",
             {"p": p, "m": m},

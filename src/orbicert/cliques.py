@@ -42,7 +42,7 @@ from itertools import permutations
 
 from .errors import DegenerateConfig, IndexOutOfRange, LemmaViolation
 from .fields import fp_inv
-from .matrices import vertex_table_size
+from .matrices import tensor_index, vertex_table_size
 
 DEFAULT_SEED = 1729
 
@@ -187,6 +187,7 @@ def verify_clique_axioms(cfg: MuConfig, seed: int = DEFAULT_SEED) -> dict:
     if p <= z:
         raise DegenerateConfig(f"rigidity geometry needs p > z, got p={p}, z={z}")
     n, qm = vertex_table_size(m, p), p**m
+    f1 = (1,) + (0,) * (m - 1)
     pis = {i: pi_functional(cfg, i) for i in cfg.index_set}
     checks: dict[str, dict] = {}
 
@@ -201,7 +202,8 @@ def verify_clique_axioms(cfg: MuConfig, seed: int = DEFAULT_SEED) -> dict:
     def require_zero(stage: str, rows, **where):
         for r, row in enumerate(rows):
             if any(v % p for v in row):
-                raise LemmaViolation(stage, {**where, "vertex": p ** (r * m)})
+                vertex = tensor_index((r == 0, r == 1), f1, p)  # e_r (x) f_1
+                raise LemmaViolation(stage, {**where, "vertex": vertex})
 
     def reconstruct(i: int):
         e = {k: (1, cfg.mu(k)) for k in (i, i + 1)}
@@ -235,7 +237,7 @@ def verify_clique_axioms(cfg: MuConfig, seed: int = DEFAULT_SEED) -> dict:
         alpha, beta = pis[i]
         mu = cfg.mu(cfg.partner(i))
         if (alpha + mu * beta) % p:
-            where = {"kernel": i, "vertex": 1 + mu * qm}
+            where = {"kernel": i, "vertex": tensor_index((1, mu), f1, p)}
             raise LemmaViolation("adjacency-shared-projection", where)
     record("adjacency_iff_shared_projection", n * n)
     record("cliques_are_cliques", z * qm)

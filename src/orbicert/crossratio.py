@@ -1,8 +1,8 @@
 """Cross-ratio arithmetic on the projective line over GF(p).
 
 A point of the line is its code 0 .. p: the slope t is t, and infinity is
-p (``orbicert.matrices``).  Rather than case-splitting the informal limit
-conventions, each code is lifted to a homogeneous pair ((1, t) for the
+p.  Rather than case-splitting the informal limit conventions, each code is
+lifted to a homogeneous pair by ``matrices.homogeneous`` ((1, t) for the
 slope t, (0, 1) for infinity) and the cross-ratio is a ratio of 2x2
 determinants; a vanishing denominator then *is* infinity.  Reports and
 error messages write infinity as ``"inf"`` (``point_name``).
@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidConfig, LemmaViolation, ParameterTooLarge, TableViolation
 from .fields import MAX_PRIME, fp_inv
-from .matrices import Matrix
+from .matrices import Matrix, homogeneous, point_of
 
 # the six classical values as formula codes
 _FORMULAS = ("r", "r/(r-1)", "1-r", "1/r", "1/(1-r)", "(r-1)/r")
@@ -51,11 +51,6 @@ for _sigma, _row in [
     PERMUTATION_ROWS[_sigma] = _row
 
 
-def homogeneous(k: int, p: int) -> tuple[int, int]:
-    """The homogeneous lift of point code k: (1, k) for a slope, (0, 1) for p."""
-    return (0, 1) if k == p else (1, k)
-
-
 def point_name(k: int, p: int):
     """Point code k as reports and error messages write it: the slope k, or
     ``"inf"`` for p."""
@@ -70,13 +65,7 @@ def permute_quad(sigma, quad):
 def fractional_action(mat: Matrix, k: int, p: int) -> int:
     """Code of the image of point code k under an invertible 2x2 matrix."""
     x = homogeneous(k, p)
-    y = (
-        (x[0] * mat[0, 0] + x[1] * mat[1, 0]) % p,
-        (x[0] * mat[0, 1] + x[1] * mat[1, 1]) % p,
-    )
-    if y[0] == 0:
-        return p
-    return y[1] * fp_inv(y[0], p) % p
+    return point_of(x[0] * mat[0, 0] + x[1] * mat[1, 0], x[0] * mat[0, 1] + x[1] * mat[1, 1], p)
 
 
 def verify_table1(p: int) -> dict:

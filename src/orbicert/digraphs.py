@@ -17,12 +17,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadDecomposition, EmptyUnion, IndexOutOfRange
-from .crossratio import homogeneous
 from .fields import fp_inv
 from .matrices import (
     Matrix,
     decode_planes,
     digit_planes,
+    homogeneous,
     horner_fold,
     linear_vertex_map,
     mat_inv,

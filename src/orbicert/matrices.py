@@ -10,7 +10,9 @@ Conventions fixed once for the whole toolkit:
   every vertex is row k of ``digit_planes``, and ``horner_fold`` is the one
   way from digits back to indices;
 * a point of the projective line is its code 0 .. p: the slope t, the line
-  through (1, t), is t, and infinity, the line through (0, 1), is p.
+  through (1, t), is t, and infinity, the line through (0, 1), is p;
+  ``homogeneous`` lifts a code to that pair and ``point_of`` maps a nonzero
+  pair back to its code.
 """
 
 from __future__ import annotations
@@ -149,6 +151,16 @@ def gl2_count(p: int) -> int:
     return (p * p - 1) * (p * p - p)
 
 
+def homogeneous(k: int, p: int) -> tuple[int, int]:
+    """The homogeneous lift of point code k: (1, k) for a slope, (0, 1) for p."""
+    return (0, 1) if k == p else (1, k)
+
+
+def point_of(x: int, y: int, p: int) -> int:
+    """Code of the point through the nonzero pair (x, y): y/x, or p if x = 0."""
+    return y * fp_inv(x, p) % p if x % p else p
+
+
 def _frame(u, v, w, p: int) -> tuple[int, int, int, int]:
     """Entries of a matrix sending e1, e2 and e1 + e2 to the points u, v, w:
     rows a u and b v with a u + b v = det(u, v) w (Cramer's rule)."""
@@ -170,9 +182,6 @@ def pgl2_stabilizer(codes, p: int) -> list[Matrix]:
     distinct points, each on its frame point's side, is the frame's image
     under one candidate class, kept iff it maps the smaller side into itself.
     """
-    def lift(k):
-        return (0, 1) if k == p else (1, k)
-
     inside = set(codes)
     small = sorted(inside)
     if 2 * len(small) > p + 1:
@@ -182,18 +191,18 @@ def pgl2_stabilizer(codes, p: int) -> list[Matrix]:
     # the larger side is listed only when the frame needs a point of it
     large = [k for k in range(p + 1) if k not in members] if n < 3 else []
     # the adjugate of the frame's matrix sends the frame to e1, e2, e1 + e2
-    f0, f1, f2, f3 = _frame(*map(lift, small[:n] + large[: 3 - n]), p)
-    points = [lift(k) for k in small]
+    f0, f1, f2, f3 = _frame(*(homogeneous(k, p) for k in small[:n] + large[: 3 - n]), p)
+    points = [homogeneous(k, p) for k in small]
     out = []
     for x, y, z in itertools.product(*[small] * n, *[large] * (3 - n)):
         if x == y or x == z or y == z:
             continue
-        g0, g1, g2, g3 = _frame(lift(x), lift(y), lift(z), p)
+        g0, g1, g2, g3 = _frame(*(homogeneous(k, p) for k in (x, y, z)), p)
         a, b = (f3 * g0 - f1 * g2) % p, (f3 * g1 - f1 * g3) % p
         c, d = (f0 * g2 - f2 * g0) % p, (f0 * g3 - f2 * g1) % p
         for u0, u1 in points:
             v0, v1 = (u0 * a + u1 * c) % p, u0 * b + u1 * d
-            if (v1 * pow(v0, -1, p) % p if v0 else p) not in members:
+            if point_of(v0, v1, p) not in members:
                 break
         else:
             k = pow(a or b, -1, p)
@@ -262,6 +271,13 @@ def horner_fold(digits, p: int) -> np.ndarray:
         idx *= p
         idx += digit
     return idx
+
+
+def tensor_index(u, w, p: int) -> int:
+    """Vertex index of the simple tensor u (x) w, u in GF(p)^2, w in GF(p)^m:
+    ``horner_fold`` on the row-major digits u_i w_j."""
+    digits = [a * b % p for a in u for b in w]
+    return int(horner_fold(reversed(digits), p))
 
 
 def product_image(planes: np.ndarray, a: Matrix, b: Matrix, p: int) -> np.ndarray:

@@ -25,7 +25,7 @@ from orbicert.certify import (
     obstruction_polynomials,
 )
 from orbicert.cliques import MuConfig, pi_functional, projection_coeffs
-from orbicert.crossratio import PERMUTATION_ROWS, homogeneous
+from orbicert.crossratio import PERMUTATION_ROWS
 from orbicert.digraphs import ConnectionSet, VertexPermutation, _vertex
 from orbicert.errors import (
     BadDecomposition,
@@ -42,6 +42,7 @@ from orbicert.fields import fp_inv, prime_modulus
 from orbicert.groups import SUBORBIT_ENUM_MAX, canonical_lambda, d8_elements, suborbit_indices
 from orbicert.matrices import (
     Matrix,
+    homogeneous,
     linear_vertex_map,
     mat_inv,
     mat_mul,

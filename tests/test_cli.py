@@ -169,12 +169,18 @@ def test_rank_over_the_scan_ceiling_exits_1_before_building_a_class(capsys, monk
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [("verify", "lemma", "connectivity"), ("verify", "lemma", "hamming-A"), ("suborbits",)],
-    ids=["connectivity", "hamming-A", "suborbits"],
+    "argv, p",
+    [
+        (("verify", "lemma", "connectivity"), "1000003"),
+        (("verify", "lemma", "hamming-A"), "1000003"),
+        (("verify", "lemma", "hamming-1"), "1000003"),
+        (("verify", "lemma", "hamming-i"), "1000033"),  # 1000033 = 1 (mod 4)
+        (("suborbits",), "1000003"),
+    ],
+    ids=["connectivity", "hamming-A", "hamming-1", "hamming-i", "suborbits"],
 )
 def test_a_vertex_lemma_over_the_vertex_gate_exits_1_before_building_a_class(
-    capsys, monkeypatch, argv
+    capsys, monkeypatch, argv, p
 ):
     # at p = 1000003 the lambda classes took 4.4-6.2 s and 208 MB before
     # the classification gate refused
@@ -183,7 +189,7 @@ def test_a_vertex_lemma_over_the_vertex_gate_exits_1_before_building_a_class(
 
     monkeypatch.setattr(groups, "lambda_classes", refuse)
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, *argv, "--p", "1000003")
+    code, out, err = run_cli(capsys, *argv, "--p", p)
     assert time.perf_counter() - start < 1.0
     assert code == 1
     assert out == ""

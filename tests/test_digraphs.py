@@ -19,10 +19,9 @@ from orbicert.digraphs import (
     is_connected,
     orbital_union_set,
 )
-from orbicert.crossratio import homogeneous
 from orbicert.errors import BadDecomposition, EmptyUnion, IndexOutOfRange
 from orbicert.groups import d8_elements, nontrivial_labels, suborbit_indices
-from orbicert.matrices import Matrix, digit_planes, num_vertices
+from orbicert.matrices import Matrix, digit_planes, homogeneous, num_vertices
 
 from oracles import (
     LinPart,
