@@ -42,7 +42,7 @@ from itertools import permutations
 
 from .errors import DegenerateConfig, IndexOutOfRange, LemmaViolation
 from .fields import fp_inv
-from .matrices import tensor_index, vertex_table_size
+from .matrices import gated_power, tensor_index
 
 DEFAULT_SEED = 1729
 
@@ -158,9 +158,12 @@ def verify_clique_axioms(cfg: MuConfig, seed: int = DEFAULT_SEED) -> dict:
     projection.  A kernel, a subgroup inside S + 0, is a clique, and so is
     each ell-clique, a coset of one.
 
-    No vertex array is built, and Python ints cannot overflow.  Until one
-    resource budget covers every stage, the gate of ``vertex_table_size``,
-    which counts the n vertices, is the only bound on m and p here.
+    No vertex array is built, and Python ints cannot overflow.  The only
+    size-dependent numbers are p^m, which Bruck's check and ``clique_size``
+    read, and counts that are polynomials in it, up to n^2 = (p^m)^4.  So
+    p^m is taken from ``gated_power``, refused above ``MAX_VERTICES``
+    before any stage runs, and n = p^m p^m: no count comes near Python's
+    limit on the digits of an int it prints.
 
     Census of the maximal cliques of size >= p^m, by Bruck's bound (R. H.
     Bruck, "Finite nets. II. Uniqueness and imbedding", Pacific J. Math. 13,
@@ -186,7 +189,8 @@ def verify_clique_axioms(cfg: MuConfig, seed: int = DEFAULT_SEED) -> dict:
     p, m, z = cfg.p, cfg.m, cfg.z
     if p <= z:
         raise DegenerateConfig(f"rigidity geometry needs p > z, got p={p}, z={z}")
-    n, qm = vertex_table_size(m, p), p**m
+    qm = gated_power(p, m, m)
+    n = qm * qm
     f1 = (1,) + (0,) * (m - 1)
     pis = {i: pi_functional(cfg, i) for i in cfg.index_set}
     checks: dict[str, dict] = {}

@@ -155,14 +155,17 @@ def check_v4_collineations(p: int) -> dict:
 
     The quadruple is degenerate iff lam^4 = 1, and every lam^4 is 1 at
     p = 3 and 5, which are refused; at p >= 7 at most 4 of the p - 1 >= 6
-    slopes are degenerate.
+    slopes are degenerate.  The loop over the slopes is O(p); p above
+    ``MAX_PRIME`` is refused before it starts.
     """
     from .groups import d8_elements
 
     if p < 7:
         raise InvalidConfig(f"every direction quadruple is degenerate at p={p}: lam^4 = 1")
+    if p > MAX_PRIME:
+        raise ParameterTooLarge(f"table at p = {p} refused (limit p <= {MAX_PRIME})")
 
-    d8 = set(d8_elements(p).elements)
+    d8 = set(d8_elements(p))
     checked = 0
     for lam in range(1, p):
         if pow(lam, 4, p) in (0, 1):  # degenerate quadruple

@@ -28,7 +28,6 @@ from .matrices import (
     mat_inv,
     num_vertices,
     product_image,
-    vertex_table_size,
 )
 from .groups import classify_all, nontrivial_labels
 
@@ -39,7 +38,7 @@ class ConnectionSet:
     __slots__ = ("m", "p", "members", "mask", "labels")
 
     def __init__(self, indices, m: int, p: int, labels=None):
-        n = vertex_table_size(m, p)  # refused before the n-byte mask
+        n = num_vertices(m, p)  # refused before the n-byte mask
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:
             raise EmptyUnion("connection set is empty")
@@ -198,8 +197,8 @@ class VertexPermutation:
     __slots__ = ("m", "p", "mapping")
 
     def __init__(self, mapping, m: int, p: int):
-        arr = np.asarray(mapping)
         n = num_vertices(m, p)
+        arr = np.asarray(mapping)
         if arr.shape != (n,):
             raise ValueError("mapping has wrong length")
         # checked before the cast and the scatter, which would wrap silently
@@ -355,7 +354,7 @@ def hamming_witness(d1, d2, m: int, p: int) -> VertexPermutation:
     arcs that leave those moved vertices, for every t in S, and
     ``nonadditive_witness``.
     """
-    n = vertex_table_size(m, p)  # refused before the n-entry mapping
+    n = num_vertices(m, p)  # refused before the n-entry mapping and I_m
     g, _ = _splitting(d1, d2, p)
     planes, ident = digit_planes(m, p), Matrix.identity(m, p)
     one, two = (product_image(planes[:, c :: p**m], g, ident, p) for c in (1, 2))

@@ -9,7 +9,6 @@ matrices, because (A, B) and (kA, k^-1 B) induce the same map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -19,33 +18,14 @@ from .errors import LemmaViolation, ParameterTooLarge, ZeroLambda
 from .fields import MAX_PRIME, fp_inv
 from .matrices import Matrix, digit_planes, mat_mul, num_vertices, scalar_normalize
 
-SUBORBIT_ENUM_MAX = 10**6
-
-
-@dataclass(frozen=True)
-class D8Group:
-    """The 8 dihedral matrices, closed under product and inverse."""
-
-    elements: tuple[Matrix, ...]
-    p: int
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, m):
-        return m in self.elements
-
-    def __len__(self):
-        return len(self.elements)
-
-
 def d8_generators(p: int) -> tuple[Matrix, Matrix]:
     return Matrix(((1, 0), (0, -1)), p), Matrix(((0, 1), (1, 0)), p)
 
 
 @lru_cache(maxsize=64)
-def d8_elements(p: int) -> D8Group:
-    """Close the two generators under multiplication; always 8 matrices."""
+def d8_elements(p: int) -> tuple[Matrix, ...]:
+    """Close the two generators under multiplication; always 8 matrices,
+    sorted by their entries."""
     gens = d8_generators(p)
     elems = {Matrix.identity(2, p)}
     frontier = list(elems)
@@ -60,7 +40,7 @@ def d8_elements(p: int) -> D8Group:
         frontier = nxt
     if len(elems) != 8:
         raise LemmaViolation("d8-order", {"p": p, "order": len(elems)})
-    return D8Group(tuple(sorted(elems, key=lambda m: m.entries)), p)
+    return tuple(sorted(elems, key=lambda m: m.entries))
 
 
 @lru_cache(maxsize=64)
@@ -125,9 +105,7 @@ def classify_all(m: int, p: int) -> tuple[np.ndarray, tuple[str, ...]]:
     Returns (codes, tokens): codes[v] indexes into tokens, where tokens[0]
     is "zero" followed by nontrivial_labels(p).
     """
-    n = num_vertices(m, p)
-    if n > SUBORBIT_ENUM_MAX:
-        raise ParameterTooLarge(f"classification of {n} vertices refused")
+    n = num_vertices(m, p)  # the vertex gate, before any lambda-class is built
     tokens = ("zero",) + nontrivial_labels(p)
     code_of = {t: i for i, t in enumerate(tokens)}
     # a simple x is labelled by its slope r2[j] / r1[j] at the first nonzero

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DimensionMismatch, ParameterTooLarge, Singular
 from .fields import fp_inv
 
-MAX_VERTICES = 10**7
+MAX_VERTICES = 10**6  # the one limit on p^(2m), and on p^m
 
 
 class Matrix:
@@ -220,24 +220,32 @@ def scalar_normalize(a: Matrix) -> tuple[Matrix, int]:
 # tensor coordinates and the dense vertex numbering
 
 
+def gated_power(p: int, e: int, m: int) -> int:
+    """p^e for e = m or 2m, refused once the running product passes
+    MAX_VERTICES.  No larger power is formed: as p >= 3, the refusal comes
+    after at most 13 multiplications, whatever m is, and its message names
+    p and m, never the power."""
+    power = 1
+    for _ in range(e):
+        power *= p
+        if power > MAX_VERTICES:
+            quantity = "p^m" if e == m else "p^(2m)"
+            raise ParameterTooLarge(f"{quantity} > {MAX_VERTICES} at p = {p}, m = {m} refused")
+    return power
+
+
 def num_vertices(m: int, p: int) -> int:
-    return p ** (2 * m)
-
-
-def vertex_table_size(m: int, p: int) -> int:
-    """p^(2m), refused above MAX_VERTICES before a table that long is made."""
-    n = num_vertices(m, p)
-    if n > MAX_VERTICES:
-        raise ParameterTooLarge(f"vertex table for p^(2m) = {n} refused")
-    return n
+    """p^(2m), the number of vertices, refused above MAX_VERTICES: every
+    table over the vertices reads its length here first."""
+    return gated_power(p, 2 * m, m)
 
 
 def decode_planes(idx, m: int, p: int) -> np.ndarray:
     """Digit k of each vertex index as row k of a (2m, ...) uint16 array.
 
     Indices are divided on an int32 copy: the vertex gate keeps every
-    index below 10^7 < 2^31, and p below 2^12, so every digit plus p fits
-    in 16 bits.
+    index below 10^6 < 2^31, and p at most 1000 (m = 1), so every digit
+    plus p fits in 16 bits.
     """
     rest = np.array(idx, dtype=np.int32)
     planes = np.empty((2 * m,) + rest.shape, dtype=np.uint16)
@@ -252,7 +260,7 @@ def decode_planes(idx, m: int, p: int) -> np.ndarray:
 def digit_planes(m: int, p: int) -> np.ndarray:
     """The one digit table: digit k of every vertex as row k of a read-only
     (2m, p^(2m)) uint16 array, index order."""
-    planes = decode_planes(np.arange(vertex_table_size(m, p), dtype=np.int32), m, p)
+    planes = decode_planes(np.arange(num_vertices(m, p), dtype=np.int32), m, p)
     planes.flags.writeable = False
     return planes
 
@@ -286,7 +294,7 @@ def product_image(planes: np.ndarray, a: Matrix, b: Matrix, p: int) -> np.ndarra
     Row-major flattening turns the grid map X -> a^T X b into
     flat -> flat @ kron(a, b), so image digit j is the sum over k of
     plane k times K[k, j], mod p.  Each image digit is summed in int32, one
-    plane at a time (2m (p - 1)^2 < 2^31 under the vertex gate), into one
+    plane at a time (2m (p - 1)^2 < 2^31, as p^(2m) <= 10^6), into one
     buffer that ``horner_fold`` reads, last digit first.
     """
     kron = np.kron(a.array, b.array) % p

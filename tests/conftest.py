@@ -9,7 +9,7 @@ import pytest
 import orbicert.crossratio as crossratio
 from orbicert.crossratio import permute_quad
 from orbicert.errors import TableViolation
-from orbicert.matrices import num_vertices, product_image, vertex_table_size
+from orbicert.matrices import num_vertices, product_image
 
 from oracles import LinPart, apply_formula, cross_ratio, encode_array
 
@@ -30,7 +30,7 @@ def all_coords(m: int, p: int) -> np.ndarray:
     The int64 oracle for the uint16 ``orbicert.matrices.digit_planes`` and
     the plane-wise kernels that read them.
     """
-    out = decode_array(np.arange(vertex_table_size(m, p)), m, p).reshape(-1, 2, m)
+    out = decode_array(np.arange(num_vertices(m, p)), m, p).reshape(-1, 2, m)
     out.flags.writeable = False
     return out
 

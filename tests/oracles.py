@@ -39,7 +39,7 @@ from orbicert.errors import (
     ZeroTensor,
 )
 from orbicert.fields import fp_inv, prime_modulus
-from orbicert.groups import SUBORBIT_ENUM_MAX, canonical_lambda, d8_elements, suborbit_indices
+from orbicert.groups import canonical_lambda, d8_elements, suborbit_indices
 from orbicert.matrices import (
     Matrix,
     homogeneous,
@@ -460,8 +460,7 @@ def classify_tensor(x: Tensor) -> SuborbitLabel:
 
 def suborbit_elements(label, m: int, p: int) -> frozenset[Tensor]:
     """The full element set of a suborbit, as Tensors (desk scale only)."""
-    if num_vertices(m, p) > SUBORBIT_ENUM_MAX:
-        raise ParameterTooLarge("suborbit enumeration gated to p^(2m) <= 10^6")
+    num_vertices(m, p)  # the vertex gate, before any Tensor is made
     return frozenset(
         Tensor.from_index(int(i), m, p) for i in suborbit_indices(label, m, p)
     )

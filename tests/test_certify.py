@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import orbicert.digraphs as digraphs
-import orbicert.groups as groups
 import orbicert.matrices as matrices
 from orbicert.certify import (
     GLGL_WITNESS,
@@ -77,7 +76,7 @@ def test_stabilizer_is_a_subgroup():
 def test_d8_inside_stabilizers_of_closed_direction_sets():
     for p, dirs in [(5, (1, 4)), (7, (0, 7)), (13, (2, 6, 7, 11)), (13, (5, 8))]:
         stab = set(setwise_stabilizer_gl2(DirectionSet(dirs, p)))
-        assert set(d8_elements(p).elements) <= stab
+        assert set(d8_elements(p)) <= stab
 
 
 def test_scalar_closure_size():
@@ -88,7 +87,7 @@ def test_scalar_closure_size():
         assert len(v4) == 4
         closure = {m.scaled(k) for m in v4 for k in range(1, p)}
         assert len(closure) == 4 * (p - 1)
-        assert set(d8_elements(p).elements) <= closure
+        assert set(d8_elements(p)) <= closure
 
 
 def test_pair_intersection_p5():
@@ -351,13 +350,13 @@ def test_the_theorem_q13_driver_peaks_under_80_bytes_per_vertex():
     assert int(peak) <= 80 * 13**4
 
 
-def test_not_digraph_group_reads_the_suborbit_gate(monkeypatch):
+def test_not_digraph_group_reads_the_vertex_gate(monkeypatch):
     # one constant bounds both the classification and the certificate, which
     # refuses before it lists a union
     def refuse(p):
         raise AssertionError("unions listed")
 
-    monkeypatch.setattr(groups, "SUBORBIT_ENUM_MAX", 5**4 - 1)
+    monkeypatch.setattr(matrices, "MAX_VERTICES", 5**4 - 1)
     monkeypatch.setattr("orbicert.certify.nontrivial_labels", refuse)
     with pytest.raises(ParameterTooLarge):
         certify_not_digraph_group(5, 2)

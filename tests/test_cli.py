@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import orbicert.cliques as cliques
+import orbicert.crossratio as crossratio
 import orbicert.groups as groups
 from orbicert import cli
 from orbicert.cli import main
@@ -137,6 +138,79 @@ def test_cross_ratio_table_over_the_scan_ceiling_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "10007" in err and err.count("\n") == 1
+
+
+def test_table3_over_the_scan_ceiling_exits_1_before_its_loop(capsys, monkeypatch):
+    # the slope loop is O(p): 4.6 s at p = 100003 and 60 s at 1000003
+    def refuse(*args):
+        raise AssertionError("slope loop started")
+
+    monkeypatch.setattr(groups, "d8_elements", refuse)
+    monkeypatch.setattr(crossratio, "lambda_quad", refuse)
+    code, out, err = run_cli(capsys, "verify", "lemma", "table3", "--p", "10007")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "10007" in err and err.count("\n") == 1
+
+
+# every command whose size grows with m, and its smallest valid flags
+VERTEX_GATED = {
+    "suborbits": ("suborbits", "--p", "7"),
+    "connectivity": ("verify", "lemma", "connectivity", "--p", "7"),
+    "hamming-A": ("verify", "lemma", "hamming-A", "--p", "7"),
+    "two-closed": ("verify", "two-closed", "--p", "5"),
+    "theorem-q5": ("verify", "theorem-q5"),
+    "q17": ("verify", "q17"),
+    "cliques": ("verify", "cliques", "--p", "7", "--mu", "1,2,3,4"),
+}
+
+
+@pytest.mark.parametrize("argv", VERTEX_GATED.values(), ids=VERTEX_GATED.keys())
+def test_a_large_m_is_refused_on_one_short_line(capsys, argv):
+    # the gate stops at the first power past the limit; formatting 7^6000,
+    # 5071 digits, into the refusal overran Python's 4300-digit int -> str
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv, "--m", "3000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200
+
+
+@pytest.mark.parametrize("name", ["suborbits", "cliques"])
+def test_a_billion_fold_m_is_refused_without_forming_the_power(name):
+    # forming p^(2m) at m = 10^9 runs for minutes: the timeout turns a hang
+    # into a failure
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [*VERTEX_GATED[name], "--m", str(10**9)]
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-m", "orbicert.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr.startswith("error:") and run.stderr.count("\n") == 1
+    assert len(run.stderr) < 200
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "cliques", "--p", "59", "--mu", "1,2,3,4"),
+        ("verify", "q17", "--m", "3"),
+        ("verify", "q17", "--m", "4"),
+    ],
+    ids=["cliques-p59", "q17-m3", "q17-m4"],
+)
+def test_the_clique_checks_verify_up_to_the_limit_on_p_to_the_m(capsys, argv):
+    # they tabulate no vertex: 59^4 and 17^8 are over the vertex gate
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["summary"]["verified"] == 1
 
 
 def test_cliques_over_the_vertex_limit_exit_1_before_allocating(capsys):
@@ -472,7 +546,7 @@ def argvs(draw):
     argv = list(draw(st.sampled_from(SUBCOMMANDS)))
     values = {
         "--p": st.sampled_from(MODULI),
-        "--m": st.integers(-1, 3),
+        "--m": st.integers(-1, 3) | st.sampled_from((3000, 10**9)),
         "--mu": st.sampled_from(SLOPES),
         "--z": st.sampled_from((0, 4, 6)),
         "--max-prime": st.sampled_from(MODULI),

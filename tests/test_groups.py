@@ -47,7 +47,7 @@ def test_d8_is_the_signed_permutations():
     for p in (5, 7, 13, 17):
         d8 = d8_elements(p)
         assert len(d8) == 8
-        assert set(d8.elements) == signed_permutation_matrices(p)
+        assert set(d8) == signed_permutation_matrices(p)
         assert Matrix(((p - 1, 0), (0, p - 1)), p) in d8  # -I
         assert Matrix(((1, 0), (0, -1)), p) in d8
         assert Matrix(((0, 1), (1, 0)), p) in d8
@@ -185,7 +185,7 @@ def test_classification_invariant_under_stabilizer():
     m, p = 2, 5
     tensors = [Tensor.from_index(i, m, p) for i in range(num_vertices(m, p))]
     for _ in range(20):
-        d = rng.choice(list(d8_elements(p).elements))
+        d = rng.choice(d8_elements(p))
         while True:
             b = Matrix(
                 tuple(tuple(rng.randrange(p) for _ in range(m)) for _ in range(m)), p

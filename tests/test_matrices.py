@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbicert.errors import DimensionMismatch, Singular, ZeroTensor
+from orbicert.errors import DimensionMismatch, ParameterTooLarge, Singular, ZeroTensor
 import orbicert.matrices as matrices
 from orbicert.matrices import (
     MAX_VERTICES,
     Matrix,
     digit_planes,
+    gated_power,
     gl2_count,
     mat_inv,
     mat_mul,
@@ -216,12 +217,43 @@ def test_linear_vertex_map_matches_the_int64_oracle(p, m, all_coords):
         assert np.array_equal(linear_vertex_map(a, b, m, p), expected)
 
 
+def test_the_vertex_gate_stops_at_the_first_power_past_the_limit():
+    # 3^12 <= 10^6 < 3^13: the refusal comes at the 13th multiplication,
+    # whatever m is, and prints neither that power nor p^(2m)
+    class Counted(int):
+        products = 0
+
+        def __rmul__(self, other):
+            Counted.products += 1
+            return int(other) * int(self)
+
+    for m in (7, 3000, 10**9):
+        Counted.products = 0
+        with pytest.raises(ParameterTooLarge) as refusal:
+            gated_power(Counted(3), 2 * m, m)
+        assert Counted.products == 13
+        message = str(refusal.value)
+        assert "p^(2m)" in message and f"m = {m}" in message and str(3**13) not in message
+    with pytest.raises(ParameterTooLarge, match=r"p\^m > 1000000 at p = 7, m = 40"):
+        gated_power(7, 40, 40)
+    # the limit itself is accepted
+    assert gated_power(1000, 2, 1) == 10**6 == MAX_VERTICES
+    assert [num_vertices(m, p) for m, p in [(1, 3), (2, 5), (3, 7), (6, 3)]] == [
+        9,
+        625,
+        117649,
+        531441,
+    ]
+
+
 def test_linear_vertex_map_at_the_largest_prime_under_the_vertex_gate():
-    # m = 1, p = 3137: p^2 = 9,840,769 vertices (3163^2 is over the gate),
+    # m = 1, p = 997: p^2 = 994,009 vertices (1009^2 is over the gate),
     # every image digit a sum of two products of digits up to p - 1
-    p, m = 3137, 1
+    p, m = 997, 1
     n = num_vertices(m, p)
-    assert n <= MAX_VERTICES < num_vertices(m, 3163)
+    assert n <= MAX_VERTICES
+    with pytest.raises(ParameterTooLarge):
+        num_vertices(m, 1009)
     a = Matrix(((p - 1, p - 2), (p - 3, p - 1)), p)
     b = Matrix(((p - 2,),), p)
     assert a.is_invertible()
@@ -231,14 +263,13 @@ def test_linear_vertex_map_at_the_largest_prime_under_the_vertex_gate():
         seen = np.zeros(n, dtype=bool)
         seen[got] = True
         assert seen.all()
-        # against int64 digits on every 997th vertex and the last, whose
-        # digits are all p - 1
-        x = np.r_[np.arange(0, n, 997), n - 1]
+        # against int64 digits on every vertex; the last has all digits p - 1
+        x = np.arange(n)
         digits = np.stack([x % p, x // p], axis=1)
         expected = encode_array((digits @ np.kron(a.array, b.array)).reshape(-1, 2, m), p)
         assert np.array_equal(got[x], expected)
     finally:
-        matrices.digit_planes.cache_clear()  # the table is 39 MB
+        matrices.digit_planes.cache_clear()  # the table is 4 MB
 
 
 def test_simple_factorize_examples():

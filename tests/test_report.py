@@ -69,8 +69,8 @@ def test_guard_rails():
         orbital_union_set([], 2, 5)
     with pytest.raises(ParameterTooLarge):
         is_connected(orbital_union_set(["A"], 3, 37))  # 37^6 vertices
-    # refused before the connection set's mask of p^(2m) bytes
-    for m, p in [(2, 101), (3, 31)]:
+    # p^m > 10^6: refused before any stage runs
+    for m, p in [(2, 1009), (3, 101)]:
         with pytest.raises(ParameterTooLarge):
             verify_clique_axioms(MuConfig(z=4, mus=(1, 2, 3, 4), m=m, p=p))
 
