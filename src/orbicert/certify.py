@@ -169,10 +169,8 @@ def delta_indices(cfg: MuConfig) -> np.ndarray:
     in 0, so these are z(p^m - 1) vertices.
     """
     p, m = cfg.p, cfg.m
-    rows, ident = digit_planes(m, p)[:, 1 : p**m], Matrix.identity(m, p)
-    blocks = [
-        product_image(rows, Matrix(((1, cfg.mu(i)), (0, 1)), p), ident, p) for i in cfg.index_set
-    ]
+    rows = digit_planes(m, p)[:, 1 : p**m]
+    blocks = [product_image(rows, Matrix(((1, cfg.mu(i)), (0, 1)), p), p) for i in cfg.index_set]
     return np.sort(np.concatenate(blocks))
 
 
@@ -342,11 +340,10 @@ def _certify_one_union(
     wanted = np.array([t in tokens for t in code_tokens])
     sizes = np.bincount(codes, minlength=wanted.size)
     entry["connection_set_size"] = int(sizes[wanted].sum())
-    ident = Matrix.identity(m, p)
 
     def check_linear(mat: Matrix) -> bool:
         if mat not in label_tables:
-            label_tables[mat] = label_transitions(mat, ident, m, p)
+            label_tables[mat] = label_transitions(mat, m, p)
         leaves = label_tables[mat][wanted][:, ~wanted].any()
         return not leaves and not g0_contains(mat)
 

@@ -142,7 +142,7 @@ def lambda_quad(lam: int, p: int) -> tuple[int, int, int, int]:
 # the four double-transposition collineations: sigma -> dihedral matrix
 def v4_collineations(p: int) -> dict[tuple[int, int, int, int], Matrix]:
     return {
-        (0, 1, 2, 3): Matrix.identity(2, p),
+        (0, 1, 2, 3): Matrix.identity(p),
         (1, 0, 3, 2): Matrix(((1, 0), (0, -1)), p),
         (2, 3, 0, 1): Matrix(((0, 1), (1, 0)), p),
         (3, 2, 1, 0): Matrix(((0, -1), (1, 0)), p),
@@ -165,15 +165,17 @@ def check_v4_collineations(p: int) -> dict:
     if p > MAX_PRIME:
         raise ParameterTooLarge(f"table at p = {p} refused (limit p <= {MAX_PRIME})")
 
+    table = v4_collineations(p)
     d8 = set(d8_elements(p))
+    for sigma, mat in table.items():
+        if mat not in d8:
+            raise LemmaViolation("table3-dihedral", {"sigma": sigma, "matrix": mat})
     checked = 0
     for lam in range(1, p):
         if pow(lam, 4, p) in (0, 1):  # degenerate quadruple
             continue
         quad = lambda_quad(lam, p)
-        for sigma, mat in v4_collineations(p).items():
-            if mat not in d8:
-                raise LemmaViolation("table3-dihedral", {"sigma": sigma, "matrix": mat})
+        for sigma, mat in table.items():
             images = tuple(fractional_action(mat, t, p) for t in quad)
             if images != permute_quad(sigma, quad):
                 raise TableViolation(sigma, quad, permute_quad(sigma, quad), images)

@@ -174,8 +174,8 @@ def is_connected(s: ConnectionSet) -> bool:
     return True
 
 
-def label_transitions(a: Matrix, b: Matrix, m: int, p: int) -> np.ndarray:
-    """Which suborbit labels the product action of (a, b) sends to which.
+def label_transitions(a: Matrix, m: int, p: int) -> np.ndarray:
+    """Which suborbit labels the product action of (a, I_m) sends to which.
 
     A k x k bool table over the ``classify_all`` codes: entry [i, j] is True
     iff some vertex of code i maps to a vertex of code j.  It is scattered
@@ -186,7 +186,7 @@ def label_transitions(a: Matrix, b: Matrix, m: int, p: int) -> np.ndarray:
     """
     codes, tokens = classify_all(m, p)
     table = np.zeros((len(tokens), len(tokens)), dtype=bool)
-    table[codes, codes[linear_vertex_map(a, b, m, p)]] = True
+    table[codes, codes[linear_vertex_map(a, m, p)]] = True
     return table
 
 
@@ -330,7 +330,7 @@ def hamming_check(s: ConnectionSet, d1, d2) -> bool:
     """
     m, p = s.m, s.p
     g, h = _splitting(d1, d2, p)
-    if h * g != Matrix.identity(2, p):
+    if h * g != Matrix.identity(p):
         return False
     digits = s.digits().astype(np.int64)
     r1, r2 = digits[:m], digits[m:]
@@ -354,10 +354,10 @@ def hamming_witness(d1, d2, m: int, p: int) -> VertexPermutation:
     arcs that leave those moved vertices, for every t in S, and
     ``nonadditive_witness``.
     """
-    n = num_vertices(m, p)  # refused before the n-entry mapping and I_m
+    n = num_vertices(m, p)  # refused before the n-entry mapping
     g, _ = _splitting(d1, d2, p)
-    planes, ident = digit_planes(m, p), Matrix.identity(m, p)
-    one, two = (product_image(planes[:, c :: p**m], g, ident, p) for c in (1, 2))
+    planes = digit_planes(m, p)
+    one, two = (product_image(planes[:, c :: p**m], g, p) for c in (1, 2))
     mapping = np.arange(n, dtype=np.int32)
     mapping[one], mapping[two] = two, one
     return VertexPermutation(mapping, m, p)

@@ -13,10 +13,6 @@ class ZeroLambda(OrbicertError):
     """A nonzero field element was required."""
 
 
-class ZeroTensor(OrbicertError):
-    """The zero tensor cannot be factorized."""
-
-
 class DimensionMismatch(OrbicertError):
     """Matrix/tensor shapes or moduli are incompatible."""
 
@@ -39,14 +35,6 @@ class BadDecomposition(OrbicertError):
 
 class DegenerateConfig(OrbicertError):
     """Direction slopes of a projection configuration must be distinct."""
-
-
-class DegenerateQuad(OrbicertError):
-    """Cross-ratio needs four pairwise-distinct projective parameters."""
-
-
-class DegenerateLambda(OrbicertError):
-    """The obstruction polynomials require lambda^4 outside {0, 1}."""
 
 
 class IndexOutOfRange(OrbicertError):

@@ -27,7 +27,7 @@ def d8_elements(p: int) -> tuple[Matrix, ...]:
     """Close the two generators under multiplication; always 8 matrices,
     sorted by their entries."""
     gens = d8_generators(p)
-    elems = {Matrix.identity(2, p)}
+    elems = {Matrix.identity(p)}
     frontier = list(elems)
     while frontier:
         nxt = []

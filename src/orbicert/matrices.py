@@ -1,8 +1,11 @@
-"""Matrices over GF(p), GL(2,p) and PGL(2,p), and 2 x m tensor coordinates.
+"""The 2 x 2 factor over GF(p), GL(2,p) and PGL(2,p), and 2 x m tensor
+coordinates.
 
 Conventions fixed once for the whole toolkit:
 
 * row-vector action, v^A = v * A;
+* every linear map of the vertices here is (A, I_m), X -> A^T X: ``Matrix``
+  is the 2 x 2 factor A, and ``product_image`` applies it to digit planes;
 * a tensor x (sum of X[i][j] * e_i (x) f_j) is stored as its 2 x m grid X,
   row 0 carrying the e_1 components;
 * the vertex index of x is sum(flat[k] * p^k) over the row-major flattening
@@ -29,16 +32,14 @@ MAX_VERTICES = 10**6  # the one limit on p^(2m), and on p^m
 
 
 class Matrix:
-    """Immutable matrix over GF(p) with canonical residue entries."""
+    """Immutable 2 x 2 matrix over GF(p) with canonical residue entries."""
 
-    __slots__ = ("rows", "cols", "p", "entries")
+    __slots__ = ("p", "entries")
 
     def __init__(self, entries, p: int):
         rows = tuple(tuple(int(v) % p for v in row) for row in entries)
-        if not rows or any(len(r) != len(rows[0]) for r in rows):
-            raise DimensionMismatch("ragged matrix")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", len(rows[0]))
+        if len(rows) != 2 or any(len(r) != 2 for r in rows):
+            raise DimensionMismatch("a Matrix is 2 x 2")
         object.__setattr__(self, "p", int(p))
         object.__setattr__(self, "entries", rows)
 
@@ -46,8 +47,8 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def identity(cls, n: int, p: int) -> "Matrix":
-        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), p)
+    def identity(cls, p: int) -> "Matrix":
+        return cls(((1, 0), (0, 1)), p)
 
     def __getitem__(self, ij):
         i, j = ij
@@ -69,82 +70,35 @@ class Matrix:
     def __mul__(self, other: "Matrix") -> "Matrix":
         return mat_mul(self, other)
 
-    def __neg__(self):
-        return self.scaled(self.p - 1)
-
     def scaled(self, k: int) -> "Matrix":
         return Matrix(tuple(tuple(k * v for v in row) for row in self.entries), self.p)
 
     def det(self) -> int:
-        if self.rows != self.cols:
-            raise DimensionMismatch("determinant of a non-square matrix")
-        if self.rows == 1:
-            return self.entries[0][0]
-        if self.rows == 2:
-            (a, b), (c, d) = self.entries
-            return (a * d - b * c) % self.p
-        # Gaussian elimination, tracking row swaps.
-        a = [list(r) for r in self.entries]
-        p, n = self.p, self.rows
-        det = 1
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                return 0
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = -det
-            det = det * a[col][col] % p
-            inv = fp_inv(a[col][col], p)
-            for r in range(col + 1, n):
-                f = a[r][col] * inv % p
-                if f:
-                    a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
-        return det % p
+        (a, b), (c, d) = self.entries
+        return (a * d - b * c) % self.p
 
     def is_invertible(self) -> bool:
-        return self.rows == self.cols and self.det() != 0
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int64)
+        return self.det() != 0
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """Exact product over GF(p)."""
     if a.p != b.p:
         raise DimensionMismatch("mixed moduli")
-    if a.cols != b.rows:
-        raise DimensionMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    p = a.p
-    bt = tuple(zip(*b.entries))
+    (a0, a1), (a2, a3) = a.entries
+    (b0, b1), (b2, b3) = b.entries
     return Matrix(
-        tuple(
-            tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt)
-            for row in a.entries
-        ),
-        p,
+        ((a0 * b0 + a1 * b2, a0 * b1 + a1 * b3), (a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)), a.p
     )
 
 
 def mat_inv(a: Matrix) -> Matrix:
-    """Inverse by Gauss-Jordan elimination; raises Singular if det = 0."""
-    if a.rows != a.cols:
-        raise DimensionMismatch("inverse of a non-square matrix")
-    n, p = a.rows, a.p
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a.entries)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise Singular(f"matrix not invertible mod {p}")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = fp_inv(aug[col][col], p)
-        aug[col] = [v * inv % p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
-    return Matrix(tuple(tuple(row[n:]) for row in aug), p)
+    """The adjugate over the determinant; raises Singular if det = 0."""
+    det = a.det()
+    if not det:
+        raise Singular(f"matrix not invertible mod {a.p}")
+    (x, y), (z, w) = a.entries
+    return Matrix(((w, -y), (-z, x)), a.p).scaled(fp_inv(det, a.p))
 
 
 def gl2_count(p: int) -> int:
@@ -288,30 +242,30 @@ def tensor_index(u, w, p: int) -> int:
     return int(horner_fold(reversed(digits), p))
 
 
-def product_image(planes: np.ndarray, a: Matrix, b: Matrix, p: int) -> np.ndarray:
-    """int32 vertex indices of the images of (2m, k) digit planes under (a, b).
+def product_image(planes: np.ndarray, a: Matrix, p: int) -> np.ndarray:
+    """int32 vertex indices of the images of (2m, k) digit planes under (a, I_m).
 
-    Row-major flattening turns the grid map X -> a^T X b into
-    flat -> flat @ kron(a, b), so image digit j is the sum over k of
-    plane k times K[k, j], mod p.  Each image digit is summed in int32, one
-    plane at a time (2m (p - 1)^2 < 2^31, as p^(2m) <= 10^6), into one
-    buffer that ``horner_fold`` reads, last digit first.
+    The grid map X -> a^T X sends the rows r1, r2 of X to the rows
+    a[0, c] r1 + a[1, c] r2, c = 0, 1, so image digit j of row c is
+    a[0, c] plane[j] + a[1, c] plane[m + j], mod p.  Each image digit is
+    summed in int32 from its two terms (2 (p - 1)^2 < 2^31) into one buffer
+    that ``horner_fold`` reads, last digit first.
     """
-    kron = np.kron(a.array, b.array) % p
+    m = planes.shape[0] // 2
     digit = np.empty(planes.shape[1:], dtype=np.int32)
     term = np.empty_like(digit)
 
     def image_digits():
-        for j in range(kron.shape[1] - 1, -1, -1):
-            digit.fill(0)
-            for k in np.flatnonzero(kron[:, j]):
-                np.multiply(planes[k], kron[k, j], out=term, dtype=np.int32)
+        for c in (1, 0):
+            for j in range(m - 1, -1, -1):
+                np.multiply(planes[j], a[0, c], out=digit, dtype=np.int32)
+                np.multiply(planes[m + j], a[1, c], out=term, dtype=np.int32)
                 np.add(digit, term, out=digit)
-            yield np.remainder(digit, p, out=digit)
+                yield np.remainder(digit, p, out=digit)
 
     return horner_fold(image_digits(), p)
 
 
-def linear_vertex_map(a: Matrix, b: Matrix, m: int, p: int) -> np.ndarray:
-    """Vertex permutation array (int32) of the product action of (a, b)."""
-    return product_image(digit_planes(m, p), a, b, p)
+def linear_vertex_map(a: Matrix, m: int, p: int) -> np.ndarray:
+    """Vertex permutation array (int32) of the product action of (a, I_m)."""
+    return product_image(digit_planes(m, p), a, p)

@@ -9,9 +9,9 @@ import pytest
 import orbicert.crossratio as crossratio
 from orbicert.crossratio import permute_quad
 from orbicert.errors import TableViolation
-from orbicert.matrices import num_vertices, product_image
+from orbicert.matrices import num_vertices
 
-from oracles import LinPart, apply_formula, cross_ratio, encode_array
+from oracles import LinPart, apply_formula, cross_ratio, encode_array, kron_image
 
 
 def decode_array(idx, m: int, p: int) -> np.ndarray:
@@ -39,10 +39,10 @@ def preserves_set(lin, s):
     """True iff the linear map sends S onto S (hence is an automorphism).
 
     The reference for ``orbicert.digraphs.label_transitions``: the image of
-    every member of S, one matmul per call, with no label table.
+    every member of S through ``kron_image``, with no label table.
     """
     a, b = (lin.a, lin.b) if isinstance(lin, LinPart) else lin
-    return bool(s.mask[product_image(s.digits(), a, b, s.p)].all())
+    return bool(s.mask[kron_image(s.digits(), a, b, s.p)].all())
 
 
 def nonadditive_witness(perm):

@@ -30,26 +30,35 @@ from orbicert.digraphs import ConnectionSet, VertexPermutation, _vertex
 from orbicert.errors import (
     BadDecomposition,
     DegenerateConfig,
-    DegenerateQuad,
-    DegenerateLambda,
     DimensionMismatch,
     IndexOutOfRange,
+    OrbicertError,
     ParameterTooLarge,
     Singular,
-    ZeroTensor,
 )
 from orbicert.fields import fp_inv, prime_modulus
 from orbicert.groups import canonical_lambda, d8_elements, suborbit_indices
 from orbicert.matrices import (
     Matrix,
+    digit_planes,
     homogeneous,
-    linear_vertex_map,
-    mat_inv,
-    mat_mul,
+    horner_fold,
     num_vertices,
     pgl2_stabilizer,
     scalar_normalize,
 )
+
+
+class ZeroTensor(OrbicertError):
+    """The zero tensor cannot be factorized."""
+
+
+class DegenerateQuad(OrbicertError):
+    """Cross-ratio needs four pairwise-distinct projective parameters."""
+
+
+class DegenerateLambda(OrbicertError):
+    """The obstruction polynomials require lambda^4 outside {0, 1}."""
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +139,152 @@ class FpElement:
 
 
 # ---------------------------------------------------------------------------
-# matrices, GL(2,p) and the 2 x m tensors
+# matrices of any shape, GL(2,p) and the 2 x m tensors
+
+
+class GridMatrix:
+    """Immutable matrix over GF(p) of any shape, with canonical residue
+    entries: the 2 x m grids of the tensors and the m x m factors B of the
+    product action, which ``orbicert.matrices.Matrix`` (2 x 2) does not
+    represent.  Its determinant and inverse go by elimination, with no
+    closed form, so it is also the reference for the 2 x 2 ones."""
+
+    __slots__ = ("rows", "cols", "p", "entries")
+
+    def __init__(self, entries, p: int):
+        rows = tuple(tuple(int(v) % p for v in row) for row in entries)
+        if not rows or any(len(r) != len(rows[0]) for r in rows):
+            raise DimensionMismatch("ragged matrix")
+        object.__setattr__(self, "rows", len(rows))
+        object.__setattr__(self, "cols", len(rows[0]))
+        object.__setattr__(self, "p", int(p))
+        object.__setattr__(self, "entries", rows)
+
+    def __setattr__(self, *a):
+        raise AttributeError("GridMatrix is immutable")
+
+    @classmethod
+    def identity(cls, n: int, p: int) -> "GridMatrix":
+        return cls(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), p)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, GridMatrix)
+            and self.p == other.p
+            and self.entries == other.entries
+        )
+
+    def __hash__(self):
+        return hash((self.p, self.entries))
+
+    def __repr__(self):
+        return f"GridMatrix({list(map(list, self.entries))}, p={self.p})"
+
+    def scaled(self, k: int) -> "GridMatrix":
+        return GridMatrix(tuple(tuple(k * v for v in row) for row in self.entries), self.p)
+
+    def det(self) -> int:
+        if self.rows != self.cols:
+            raise DimensionMismatch("determinant of a non-square matrix")
+        # Gaussian elimination, tracking row swaps.
+        a = [list(r) for r in self.entries]
+        p, n = self.p, self.rows
+        det = 1
+        for col in range(n):
+            piv = next((r for r in range(col, n) if a[r][col]), None)
+            if piv is None:
+                return 0
+            if piv != col:
+                a[col], a[piv] = a[piv], a[col]
+                det = -det
+            det = det * a[col][col] % p
+            inv = fp_inv(a[col][col], p)
+            for r in range(col + 1, n):
+                f = a[r][col] * inv % p
+                if f:
+                    a[r] = [(x - f * y) % p for x, y in zip(a[r], a[col])]
+        return det % p
+
+    def is_invertible(self) -> bool:
+        return self.rows == self.cols and self.det() != 0
+
+    @property
+    def array(self) -> np.ndarray:
+        return np.array(self.entries, dtype=np.int64)
+
+
+def grid(a) -> GridMatrix:
+    """A 2 x 2 ``Matrix`` (or a GridMatrix) as a GridMatrix."""
+    return a if isinstance(a, GridMatrix) else GridMatrix(a.entries, a.p)
+
+
+def grid_mul(a: GridMatrix, b: GridMatrix) -> GridMatrix:
+    """Exact product over GF(p)."""
+    if a.p != b.p:
+        raise DimensionMismatch("mixed moduli")
+    if a.cols != b.rows:
+        raise DimensionMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
+    p = a.p
+    bt = tuple(zip(*b.entries))
+    return GridMatrix(
+        tuple(
+            tuple(sum(x * y for x, y in zip(row, col)) % p for col in bt)
+            for row in a.entries
+        ),
+        p,
+    )
+
+
+def grid_inv(a: GridMatrix) -> GridMatrix:
+    """Inverse by Gauss-Jordan elimination; raises Singular if det = 0."""
+    if a.rows != a.cols:
+        raise DimensionMismatch("inverse of a non-square matrix")
+    n, p = a.rows, a.p
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a.entries)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if aug[r][col]), None)
+        if piv is None:
+            raise Singular(f"matrix not invertible mod {p}")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = fp_inv(aug[col][col], p)
+        aug[col] = [v * inv % p for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [(x - f * y) % p for x, y in zip(aug[r], aug[col])]
+    return GridMatrix(tuple(tuple(row[n:]) for row in aug), p)
+
+
+def kron_image(planes: np.ndarray, a, b: GridMatrix, p: int) -> np.ndarray:
+    """int32 vertex indices of the images of (2m, k) digit planes under (a, b),
+    for any m x m factor b: the reference for ``orbicert.matrices.product_image``,
+    which applies (a, I_m) two planes at a time.
+
+    Row-major flattening turns the grid map X -> a^T X b into
+    flat -> flat @ kron(a, b), so image digit j is the sum over k of
+    plane k times K[k, j], mod p.  Each image digit is summed in int32, one
+    plane at a time (2m (p - 1)^2 < 2^31, as p^(2m) <= 10^6), into one
+    buffer that ``horner_fold`` reads, last digit first.
+    """
+    kron = np.kron(grid(a).array, grid(b).array) % p
+    digit = np.empty(planes.shape[1:], dtype=np.int32)
+    term = np.empty_like(digit)
+
+    def image_digits():
+        for j in range(kron.shape[1] - 1, -1, -1):
+            digit.fill(0)
+            for k in np.flatnonzero(kron[:, j]):
+                np.multiply(planes[k], kron[k, j], out=term, dtype=np.int32)
+                np.add(digit, term, out=digit)
+            yield np.remainder(digit, p, out=digit)
+
+    return horner_fold(image_digits(), p)
 
 
 GL2_ENUM_MAX_P = 200
 
 
-def mat_rank(a: Matrix) -> int:
+def mat_rank(a: GridMatrix) -> int:
     """Rank over GF(p) by Gaussian elimination."""
     rows = [list(r) for r in a.entries]
     p = a.p
@@ -211,7 +359,7 @@ class Tensor:
 
     __slots__ = ("m", "p", "coords")
 
-    def __init__(self, coords: Matrix):
+    def __init__(self, coords: GridMatrix):
         if coords.rows != 2:
             raise DimensionMismatch("tensor coordinates need exactly 2 rows")
         if coords.cols < 2:
@@ -225,11 +373,11 @@ class Tensor:
 
     @classmethod
     def from_rows(cls, row1, row2, p: int) -> "Tensor":
-        return cls(Matrix((tuple(row1), tuple(row2)), p))
+        return cls(GridMatrix((tuple(row1), tuple(row2)), p))
 
     @classmethod
     def zero(cls, m: int, p: int) -> "Tensor":
-        return cls(Matrix(((0,) * m,) * 2, p))
+        return cls(GridMatrix(((0,) * m,) * 2, p))
 
     @classmethod
     def simple(cls, v, w, p: int) -> "Tensor":
@@ -308,19 +456,20 @@ class Tensor:
         return cls.from_rows(flat[:m], flat[m:], p)
 
 
-def tensor_apply(a: Matrix, b: Matrix, x: Tensor) -> Tensor:
+def tensor_apply(a, b, x: Tensor) -> Tensor:
     """Image of x under the product action of (a, b); grid map X -> a^T X b.
 
     Composition is a right action: applying (a1,b1) then (a2,b2) equals
     applying (a1*a2, b1*b2).
     """
+    a, b = grid(a), grid(b)
     if a.p != x.p or b.p != x.p:
         raise DimensionMismatch("mixed moduli")
     if a.rows != 2 or a.cols != 2 or b.rows != x.m or b.cols != x.m:
         raise DimensionMismatch("action needs a 2x2 and an m x m matrix")
     if not a.is_invertible() or not b.is_invertible():
         raise Singular("group action requires invertible matrices")
-    return Tensor(mat_mul(mat_mul(Matrix(tuple(zip(*a.entries)), a.p), x.coords), b))
+    return Tensor(grid_mul(grid_mul(GridMatrix(tuple(zip(*a.entries)), a.p), x.coords), b))
 
 
 def simple_factorize(x: Tensor):
@@ -370,24 +519,26 @@ def orbit_under_d8(vectors, p: int) -> frozenset:
 
 @dataclass(frozen=True)
 class LinPart:
-    """A pair (A, B) acting as the product map, up to (A,B) ~ (kA, k^-1 B)."""
+    """A pair (A, B) acting as the product map, up to (A,B) ~ (kA, k^-1 B):
+    A a 2 x 2 ``Matrix`` (or GridMatrix), B a square GridMatrix."""
 
-    a: Matrix
-    b: Matrix
+    a: Matrix | GridMatrix
+    b: GridMatrix
 
     def __post_init__(self):
-        if self.a.p != self.b.p:
+        a, b = grid(self.a), grid(self.b)
+        if a.p != b.p:
             raise DimensionMismatch("mixed moduli")
-        if self.a.rows != 2 or self.a.cols != 2:
+        if a.rows != 2 or a.cols != 2:
             raise DimensionMismatch("first factor must be 2x2")
-        if self.b.rows != self.b.cols:
+        if b.rows != b.cols:
             raise DimensionMismatch("second factor must be square")
 
     @property
     def p(self) -> int:
         return self.a.p
 
-    def canonical(self) -> tuple[Matrix, Matrix]:
+    def canonical(self) -> tuple:
         """Scalar-normalized representative: first nonzero entry of A is 1."""
         a, c = scalar_normalize(self.a)
         return a, self.b.scaled(c)
@@ -466,17 +617,17 @@ def suborbit_elements(label, m: int, p: int) -> frozenset[Tensor]:
     )
 
 
-def complete_basis(rows, m: int, p: int) -> Matrix:
+def complete_basis(rows, m: int, p: int) -> GridMatrix:
     """Extend independent row vectors to an invertible m x m matrix."""
     chosen = [tuple(r) for r in rows]
     for j in range(m):
         cand = tuple(int(i == j) for i in range(m))
-        trial = Matrix(tuple(chosen) + (cand,), p)
+        trial = GridMatrix(tuple(chosen) + (cand,), p)
         if mat_rank(trial) == len(chosen) + 1:
             chosen.append(cand)
         if len(chosen) == m:
             break
-    basis = Matrix(tuple(chosen), p)
+    basis = GridMatrix(tuple(chosen), p)
     if not basis.is_invertible():
         raise DimensionMismatch("rows were not independent")
     return basis
@@ -493,13 +644,13 @@ def connecting_element(x: Tensor, y: Tensor) -> LinPart | None:
     if classify_tensor(x) != classify_tensor(y):
         return None
     p, m = x.p, x.m
-    ident = Matrix.identity(m, p)
+    ident = GridMatrix.identity(m, p)
     if x.is_zero():
-        return LinPart(Matrix.identity(2, p), ident)
+        return LinPart(Matrix.identity(p), ident)
     if x.rank() == 2:
         r = complete_basis([x.row1, x.row2], m, p)
         s = complete_basis([y.row1, y.row2], m, p)
-        lin = LinPart(Matrix.identity(2, p), mat_mul(mat_inv(r), s))
+        lin = LinPart(Matrix.identity(p), grid_mul(grid_inv(r), s))
         assert lin.apply(x) == y
         return lin
     (v0, v1), w = simple_factorize(x)
@@ -520,7 +671,7 @@ def connecting_element(x: Tensor, y: Tensor) -> LinPart | None:
         target = tuple(fp_inv(c, p) * t % p for t in wq)
         r = complete_basis([w], m, p)
         s = complete_basis([target], m, p)
-        lin = LinPart(d, mat_mul(mat_inv(r), s))
+        lin = LinPart(d, grid_mul(grid_inv(r), s))
         if lin.apply(x) == y:
             return lin
     return None
@@ -677,7 +828,7 @@ def hamming_check_2m(s: ConnectionSet, d1, d2) -> bool:
     m, p = s.m, s.p
     g, h = digraphs._splitting(d1, d2, p)
     big_g = np.vstack([direction_matrix(v, m) for v in g.entries])
-    big_h = np.kron(h.array, np.eye(m, dtype=np.int64))
+    big_h = np.kron(grid(h).array, np.eye(m, dtype=np.int64))
     if ((big_h @ big_g - np.eye(2 * m, dtype=np.int64)) % p).any():
         return False
     nonzero = (big_h.T @ s.digits() % p).reshape(2, m, len(s)).any(axis=1)
@@ -829,4 +980,4 @@ def is_arc(x: int, y: int, s: ConnectionSet) -> bool:
 def permutation_from_linear(lin, m: int, p: int) -> VertexPermutation:
     """The vertex permutation of the product action of a LinPart or (a, b)."""
     a, b = (lin.a, lin.b) if isinstance(lin, LinPart) else lin
-    return VertexPermutation(linear_vertex_map(a, b, m, p), m, p)
+    return VertexPermutation(kron_image(digit_planes(m, p), a, b, p), m, p)

@@ -53,6 +53,7 @@ from orbicert.matrices import Matrix, num_vertices
 
 from oracles import (
     CliqueId,
+    GridMatrix,
     LinPart,
     cross_ratio,
     delta_connection_set,
@@ -110,7 +111,7 @@ def test_criterion_03_suborbit_partition():
 
 def test_criterion_04_theorem_q5(preserves_set):
     with Budget("4", 10.0):
-        ident = Matrix.identity(2, 5)
+        ident = GridMatrix.identity(2, 5)
         stated = [
             (((1, 1), (1, -1)), ("A", "L1")),
             (((1, 2), (2, 1)), ("A", "L2")),
@@ -136,7 +137,7 @@ def test_criterion_04_theorem_q5(preserves_set):
     ),
 )
 def test_criterion_05_table_rows_as_stated(preserves_set):
-    ident = Matrix.identity(2, 13)
+    ident = GridMatrix.identity(2, 13)
     for (p, union), rows in STATED_WITNESSES.items():
         if p != 13:
             continue
@@ -146,7 +147,7 @@ def test_criterion_05_table_rows_as_stated(preserves_set):
 
 def test_criterion_05_theorem_q13(preserves_set):
     with Budget("5", 120.0):
-        ident = Matrix.identity(2, 13)
+        ident = GridMatrix.identity(2, 13)
         rows_checked = 0
         failing = []
         for (p, union), rows in sorted(

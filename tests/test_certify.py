@@ -24,7 +24,7 @@ from orbicert.certify import (
     stabilizer_intersection_report,
 )
 from orbicert.digraphs import VertexPermutation, label_transitions, orbital_union_set
-from orbicert.errors import CertificationFailed, DegenerateLambda, ParameterTooLarge
+from orbicert.errors import CertificationFailed, ParameterTooLarge
 from orbicert.groups import (
     classify_all,
     d8_elements,
@@ -34,7 +34,14 @@ from orbicert.groups import (
 )
 from orbicert.matrices import Matrix, mat_inv, mat_mul, num_vertices
 
-from oracles import LinPart, lambda_obstructions, realized, setwise_stabilizer_gl2
+from oracles import (
+    DegenerateLambda,
+    GridMatrix,
+    LinPart,
+    lambda_obstructions,
+    realized,
+    setwise_stabilizer_gl2,
+)
 
 
 def test_direction_set_realized():
@@ -189,7 +196,7 @@ def test_q17_certificate_and_corruption():
 
 def test_stated_witnesses_q5_all_hold(preserves_set):
     m, p = 2, 5
-    ident = Matrix.identity(m, p)
+    ident = GridMatrix.identity(m, p)
     for (pp, union), rows in STATED_WITNESSES.items():
         if pp != p:
             continue
@@ -200,7 +207,7 @@ def test_stated_witnesses_q5_all_hold(preserves_set):
 
 def test_stated_q7_singleton_witness_fails_and_replacement_found(preserves_set):
     m, p = 2, 7
-    ident = Matrix.identity(m, p)
+    ident = GridMatrix.identity(m, p)
     union = orbital_union_set(["L2"], m, p)
     stated = LinPart(Matrix(STATED_WITNESSES[(7, frozenset({"L2"}))], p), ident)
     assert not preserves_set(stated, union)  # the published matrix fails
@@ -212,7 +219,7 @@ def test_stated_q7_singleton_witness_fails_and_replacement_found(preserves_set):
 
 def test_stated_q13_triple_union_witness_fails_and_replacement_found(preserves_set):
     m, p = 2, 13
-    ident = Matrix.identity(m, p)
+    ident = GridMatrix.identity(m, p)
     union = orbital_union_set(["L1", "L2", "L3"], m, p)
     stated = LinPart(
         Matrix(STATED_WITNESSES[(13, frozenset({"L1", "L2", "L3"}))], p), ident
@@ -286,7 +293,7 @@ def _proper_unions(p):
 def test_label_table_matches_the_member_image_oracle(p, preserves_set):
     # every stated, product-group and searched witness on every union
     m = 2
-    ident = Matrix.identity(m, p)
+    ident = GridMatrix.identity(m, p)
     unions = _proper_unions(p)
     rows = set(STATED_WITNESSES.values()) | {GLGL_WITNESS}
     mats = {Matrix(r, p) for r in rows}
@@ -294,7 +301,7 @@ def test_label_table_matches_the_member_image_oracle(p, preserves_set):
     _, code_tokens = classify_all(m, p)
     verdicts = set()
     for mat in mats:
-        table = label_transitions(mat, ident, m, p)
+        table = label_transitions(mat, m, p)
         for tk in unions:
             wanted = np.array([t in tk for t in code_tokens])
             got = not table[wanted][:, ~wanted].any()
@@ -362,12 +369,19 @@ def test_not_digraph_group_reads_the_vertex_gate(monkeypatch):
         certify_not_digraph_group(5, 2)
 
 
-def test_two_closed_checks_delta_at_every_size(monkeypatch):
-    # stage (a) runs at every size; no size may drop it from the evidence
-    monkeypatch.setattr("orbicert.certify.num_vertices", lambda m, p: 10**6 + 1)
-    cert = certify_two_closed(5, 2)
+@pytest.mark.parametrize("p, m", [(5, 2), (7, 2), (13, 2), (5, 3), (7, 3)])
+def test_two_closed_checks_delta_at_every_size(p, m):
+    # stage (a) runs at every size that two-closed verifies
+    cert = certify_two_closed(p, m)
     assert cert.status == "verified"
     assert cert.evidence["delta_equals_union"]["status"] == "pass"
+
+
+def test_two_closed_over_the_vertex_gate_is_refused_not_verified(monkeypatch):
+    # over the gate it raises; it never verifies without stage (a)
+    monkeypatch.setattr(matrices, "MAX_VERTICES", 5**4 - 1)
+    with pytest.raises(ParameterTooLarge):
+        certify_two_closed(5, 2)
 
 
 def test_not_digraph_group_p7_records_failure():
@@ -380,7 +394,7 @@ def test_not_digraph_group_p7_records_failure():
 
 def test_glgl_witness_preserves_nonsimple_everywhere(preserves_set):
     for p in (5, 7, 13):
-        ident = Matrix.identity(2, p)
+        ident = GridMatrix.identity(2, p)
         lin = LinPart(Matrix(GLGL_WITNESS, p), ident)
         assert preserves_set(lin, orbital_union_set(["B"], 2, p))
         assert not g0_contains(lin.a)

@@ -15,7 +15,6 @@ from orbicert.crossratio import (
     verify_table1,
 )
 from orbicert.errors import (
-    DegenerateQuad,
     InvalidConfig,
     LemmaViolation,
     ParameterTooLarge,
@@ -24,6 +23,7 @@ from orbicert.errors import (
 from orbicert.matrices import Matrix
 
 from oracles import (
+    DegenerateQuad,
     cross_ratio,
     klein_four_classifier,
     lambda_quad_cross_ratio,

@@ -24,6 +24,7 @@ from orbicert.groups import d8_elements, nontrivial_labels, suborbit_indices
 from orbicert.matrices import Matrix, digit_planes, homogeneous, num_vertices
 
 from oracles import (
+    GridMatrix,
     LinPart,
     Tensor,
     encode_array,
@@ -194,7 +195,7 @@ def test_rank_connectivity_matches_the_bfs_on_random_sets(all_coords):
 
 def test_preserves_set_stated_witnesses_p5(preserves_set):
     m, p = 2, 5
-    ident = Matrix.identity(m, p)
+    ident = GridMatrix.identity(m, p)
     cases = [
         (((1, 1), (1, -1)), ["A", "L1"]),
         (((1, 2), (2, 1)), ["A", "L2"]),
@@ -213,7 +214,7 @@ def test_stabilizer_acts_as_automorphisms(preserves_set):
     for d in d8_elements(p):
         for _ in range(5):
             while True:
-                b = Matrix(
+                b = GridMatrix(
                     tuple(tuple(rng.randrange(p) for _ in range(m)) for _ in range(m)),
                     p,
                 )
@@ -275,7 +276,7 @@ def test_hamming_witness_is_the_coordinate_oracle(p, m):
 
 def test_linear_permutations_are_affine():
     m, p = 2, 5
-    lin = LinPart(Matrix(((1, 1), (1, -1)), p), Matrix.identity(m, p))
+    lin = LinPart(Matrix(((1, 1), (1, -1)), p), GridMatrix.identity(m, p))
     perm = permutation_from_linear(lin, m, p)
     assert perm.nonadditive_witness() is None
 
@@ -298,7 +299,7 @@ def test_nonadditive_witness_matches_the_oracle_on_random_maps(nonadditive_witne
     # first failing pair lies deeper in the scan
     m, p = 2, 5
     n = num_vertices(m, p)
-    ident = Matrix.identity(m, p)
+    ident = GridMatrix.identity(m, p)
     outcomes = set()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -345,7 +346,7 @@ def test_arc_check_agrees_with_preserves_set(preserves_set):
     # the exhaustive arc check is the one checker of Hamming witnesses;
     # on linear maps it must agree with the set-image oracle
     m, p = 2, 5
-    ident = Matrix.identity(m, p)
+    ident = GridMatrix.identity(m, p)
     outcomes = set()
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -598,7 +599,7 @@ def test_complement_duality(preserves_set):
     comp = orbital_union_set(sorted(complement_labels(["A"], p)), m, p)
     assert w.is_automorphism(u)
     assert w.is_automorphism(comp)
-    lin = LinPart(Matrix(((1, 2), (2, 1)), p), Matrix.identity(m, p))
+    lin = LinPart(Matrix(((1, 2), (2, 1)), p), GridMatrix.identity(m, p))
     u2 = orbital_union_set(["A", "L2"], m, p)
     comp2 = orbital_union_set(sorted(complement_labels(["A", "L2"], p)), m, p)
     assert preserves_set(lin, u2) and preserves_set(lin, comp2)
@@ -653,7 +654,7 @@ def test_nonadditive_witness_matches_the_int64_oracle(p, m, nonadditive_witness)
     n = num_vertices(m, p)
     rng = np.random.default_rng(10 * p + m)
     a = Matrix(((1, 1), (1, p - 1)), p)
-    b = Matrix([[int(i == (j + 1) % m) for j in range(m)] for i in range(m)], p)
+    b = GridMatrix([[int(i == (j + 1) % m) for j in range(m)] for i in range(m)], p)
     linear = permutation_from_linear((a, b), m, p).mapping
     swapped = linear.copy()
     swapped[[n // 3, n // 2]] = swapped[[n // 2, n // 3]]

@@ -23,6 +23,7 @@ from orbicert.matrices import Matrix, mat_inv, mat_mul, num_vertices
 
 from oracles import (
     AffineElem,
+    GridMatrix,
     LinPart,
     SuborbitLabel,
     Tensor,
@@ -74,9 +75,9 @@ def test_orbit_of_basis_pair():
 
 def test_g0_membership():
     p = 5
-    ident = Matrix.identity(2, p)
+    ident = Matrix.identity(p)
     assert g0_contains(ident)
-    assert g0_contains(LinPart(ident, Matrix(((1, 2), (3, 4)), p)).a)
+    assert g0_contains(LinPart(ident, GridMatrix(((1, 2), (3, 4)), p)).a)
     assert not g0_contains(Matrix(((1, 1), (1, -1)), p))
     assert g0_contains(Matrix(((0, 2), (2, 0)), p))  # 2 * swap
     for k in range(1, p):
@@ -187,7 +188,7 @@ def test_classification_invariant_under_stabilizer():
     for _ in range(20):
         d = rng.choice(d8_elements(p))
         while True:
-            b = Matrix(
+            b = GridMatrix(
                 tuple(tuple(rng.randrange(p) for _ in range(m)) for _ in range(m)), p
             )
             if b.is_invertible():
@@ -199,12 +200,12 @@ def test_classification_invariant_under_stabilizer():
 def test_classification_matches_orbit_closure_p3():
     # independent oracle: orbit partition under the full generator action
     m, p = 2, 3
-    from orbicert.matrices import linear_vertex_map
-    from oracles import gl2_enumerate
+    from orbicert.matrices import digit_planes
+    from oracles import gl2_enumerate, kron_image
 
     n = num_vertices(m, p)
     maps = [
-        linear_vertex_map(d, b, m, p)
+        kron_image(digit_planes(m, p), d, b, p)
         for d in d8_elements(p)
         for b in gl2_enumerate(p)
     ]
@@ -284,7 +285,7 @@ def test_label_serialization():
 def test_linpart_scalar_equivalence_and_affine():
     p = 5
     a = Matrix(((1, 1), (1, -1)), p)
-    b = Matrix(((1, 2), (3, 4)), p)
+    b = GridMatrix(((1, 2), (3, 4)), p)
     lin = LinPart(a, b)
     scaled = LinPart(a.scaled(2), b.scaled(3))  # 3 = 2^-1 mod 5
     assert lin.same_map(scaled)

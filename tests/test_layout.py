@@ -19,8 +19,6 @@ EXEMPT = {
     # the console-script entry point (pyproject.toml) and `python -m`
     ("cli", "main"),
 }
-# every class in errors.py: the error-path API that callers catch by name
-EXEMPT_MODULES = {"errors"}
 
 
 def _names(node) -> set[str]:
@@ -48,7 +46,6 @@ def test_every_top_level_definition_is_named_elsewhere_in_the_package():
         f"{module}.{node.name}"
         for module, node in tops
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and module not in EXEMPT_MODULES
         and (module, node.name) not in EXEMPT
         and count[node.name] == (node.name in used[id(node)])
     ]

@@ -25,9 +25,17 @@ from orbicert.crossratio import fractional_action, lambda_quad
 from orbicert.digraphs import orbital_union_set
 from orbicert.fields import is_prime
 from orbicert.groups import g0_contains, label_directions, nontrivial_labels, v4_representatives
-from orbicert.matrices import Matrix, mat_mul, pgl2_stabilizer, scalar_normalize
+from orbicert.matrices import pgl2_stabilizer, scalar_normalize
 
-from oracles import LinPart, gl2_enumerate, realized, setwise_stabilizer_gl2
+from oracles import (
+    GridMatrix,
+    LinPart,
+    gl2_enumerate,
+    grid,
+    grid_mul,
+    realized,
+    setwise_stabilizer_gl2,
+)
 
 PRIMES = (5, 7)
 
@@ -66,7 +74,7 @@ def test_setwise_stabilizers_match_gl2_enumeration(p):
         brute = [
             a
             for a in gl2_enumerate(p)
-            if {tuple(mat_mul(Matrix((v,), p), a).entries[0]) for v in vecs} == vecs
+            if {grid_mul(GridMatrix((v,), p), grid(a)).entries[0] for v in vecs} == vecs
         ]
         assert setwise_stabilizer_gl2(ds) == brute, ds.describe()
 
@@ -74,7 +82,7 @@ def test_setwise_stabilizers_match_gl2_enumeration(p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_stabilizer_verdict_matches_vertex_check(p, preserves_set):
     m = 2
-    ident = Matrix.identity(m, p)
+    ident = GridMatrix.identity(m, p)
     for token in nontrivial_labels(p):
         union = orbital_union_set([token], m, p)
         stab = set(pgl2_stabilizer(label_codes(token, p), p))
@@ -99,7 +107,7 @@ def test_stabilizer_matches_a_fractional_action_filter(p):
 
 def first_vertex_witness(preserves_set, tokens, p, m=2):
     union = orbital_union_set(tokens, m, p)
-    ident = Matrix.identity(m, p)
+    ident = GridMatrix.identity(m, p)
     return next(
         (
             a

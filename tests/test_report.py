@@ -79,12 +79,11 @@ def test_parallel_class_action_consequence(preserves_set):
     # dual route, exhaustive over GL(2,5): a linear map preserves the union
     # of the four direction blocks iff its slope action permutes the slopes
     from orbicert.crossratio import fractional_action
-    from oracles import LinPart
-    from orbicert.matrices import Matrix
+    from oracles import GridMatrix, LinPart
 
     cfg = MuConfig(z=4, mus=(1, 2, 3, 4), m=2, p=5)
     s = delta_connection_set(cfg)
-    ident = Matrix.identity(2, 5)
+    ident = GridMatrix.identity(2, 5)
     mu_set = set(cfg.mus)
     for a in gl2_enumerate(5):
         by_set = preserves_set(LinPart(a, ident), s)
