@@ -7,21 +7,26 @@ counts times the p-1 scalars.
 
 Witness matrices are shipped as data (a manifest keyed by prime and
 suborbit union) so that a bad entry fails certification loudly instead of
-silently.  Where a manifest entry fails its own check, the driver falls
-back to an exhaustive minimal-witness search over PGL(2,p) and records
-the replacement next to the failed entry; certification only fails when
-no witness exists at all.  Every witness is checked on the vertices of its
-own union, exhaustively but only where it can act.  A linear one is read
-off the label table of its vertex map (``label_transitions``), built once
-per matrix per run, because a union is preserved iff no member label is
-sent outside it.  A Hamming-side swap gets an arc check at the vertices it
+silently.  The not-a-digraph-group driver keeps search and check apart.
+``_candidates`` lists a union's witnesses in the published order: its
+stated matrix, then, if that fails, the minimal witness that an exhaustive
+search over PGL(2,p) finds, recorded next to the failed entry; the
+product-group witness on B; a Hamming-side swap; for B with a stated
+union, that union's matrix and replacement; the candidates of the
+complement; an exhaustive search of the union itself.  One checker
+certifies each candidate on the vertices of the union, exhaustively but
+only where it can act, and the first that passes is the union's witness;
+certification fails only when none passes.  A linear one is read off the
+label table of its vertex map (``label_transitions``), built once per
+matrix per run, because a union is preserved iff no member label is sent
+outside it.  A Hamming-side swap gets an arc check at the vertices it
 moves and a non-additivity pair.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -316,165 +321,131 @@ def search_linear_witness(tokens, p: int) -> Matrix | None:
     return next((a for a in pgl2_stabilizer(codes, p) if a not in v4), None)
 
 
-def _certify_one_union(
-    tokens: frozenset[str], m: int, p: int, witness_cache: dict, label_tables: dict
-) -> dict:
-    """Build and machine-check a witness for one orbital union.
+def _search(tokens: frozenset[str], p: int, searched: dict) -> Matrix | None:
+    """``search_linear_witness``, memoised in ``searched`` for the run."""
+    if tokens not in searched:
+        searched[tokens] = search_linear_witness(tokens, p)
+    return searched[tokens]
 
-    Resolution order mirrors the published strategy: stated linear
-    matrices, the generic product-group witness for the non-simple locus,
-    Hamming-side swaps for two-direction suborbits, reuse of a linear
-    witness when the non-simple locus is added to a union, and complement
-    duality for the rest.  Every witness is checked once against the actual
-    union; stated matrices that fail are recorded and replaced by the
-    minimal linear witness found by exhaustive search, memoised in
-    ``witness_cache`` under ``(p, tokens)``.  A linear witness is checked on
-    its ``label_transitions`` table, memoised in ``label_tables`` under the
-    matrix.
-    """
-    entry: dict = {
-        "claim": "union-has-automorphism-outside-group",
-        "connection_set_labels": sorted(tokens),
-    }
-    codes, code_tokens = classify_all(m, p)
-    wanted = np.array([t in tokens for t in code_tokens])
-    sizes = np.bincount(codes, minlength=wanted.size)
-    entry["connection_set_size"] = int(sizes[wanted].sum())
 
-    def check_linear(mat: Matrix) -> bool:
-        if mat not in label_tables:
-            label_tables[mat] = label_transitions(mat, m, p)
-        leaves = label_tables[mat][wanted][:, ~wanted].any()
-        return not leaves and not g0_contains(mat)
-
-    def finish_linear(mat: Matrix, kind: str, note: str | None = None) -> dict:
-        if not check_linear(mat):
-            return {}
-        entry["witness_kind"] = kind
-        entry["witness_data"] = {"matrix": list(map(list, mat.entries))}
-        if note:
-            entry["witness_data"]["note"] = note
-        entry["checks"] = {
-            "preserves_connection_set": True,
-            "in_point_stabilizer": False,
-        }
-        entry["verified"] = True
-        return entry
-
-    def replacement(tk: frozenset[str]) -> Matrix | None:
-        """The searched witness for a union whose stated matrix failed."""
-        key = (p, tk)
-        if key not in witness_cache:
-            witness_cache[key] = search_linear_witness(tk, p)
-        return witness_cache[key]
-
-    def resolve(tk: frozenset[str], allow_complement: bool) -> dict | None:
-        manifest = STATED_WITNESSES.get((p, tk))
-        if manifest is not None:
-            mat = Matrix(manifest, p)
-            out = finish_linear(mat, "linear")
-            if out:
-                return out
-            # stated matrix failed: fail loudly, then search a replacement
-            repl = replacement(tk)
-            if repl is not None:
-                out = finish_linear(
-                    repl,
-                    "linear",
-                    note=(
-                        f"stated matrix {list(map(list, mat.entries))} does not "
-                        "preserve this union; replaced by the minimal valid witness"
-                    ),
-                )
-                if out:
-                    out["stated_witness_failed"] = list(map(list, mat.entries))
-                    return out
-            return None
-        if tk == frozenset({"B"}):
-            return finish_linear(Matrix(GLGL_WITNESS, p), "glgl-on-B")
-        if len(tk) == 1:
-            dirs = hamming_capable(next(iter(tk)), p)
-            if dirs is not None:
-                perm = hamming_witness(dirs[0], dirs[1], m, p)
-                na = perm.nonadditive_witness()
-                entry["witness_kind"] = "hamming"
-                entry["witness_data"] = {
-                    "block_directions": [point_name(k, p) for k in dirs],
-                    "swapped_w_codes": [1, 2],
-                    "nonadditive_pair": list(na) if na else None,
-                }
-                union_set = orbital_union_set(tokens, m, p)
-                entry["checks"] = {
-                    "arc_preservation": perm.is_automorphism(union_set),
-                    "non_affine": na is not None,
-                }
-                entry["verified"] = all(entry["checks"].values())
-                return entry if entry["verified"] else None
-        if "B" in tk and len(tk) > 1:
-            # every (A, I) preserves B, so sub's stated matrix fails on tk
-            # exactly when it fails on sub, and sub's replacement serves tk
-            sub = tk - {"B"}
-            sub_manifest = STATED_WITNESSES.get((p, sub))
-            if sub_manifest is not None:
-                mat = Matrix(sub_manifest, p)
-                out = finish_linear(mat, "linear", note=f"reused from {sorted(sub)}")
-                if out:
-                    return out
-                repl = replacement(sub)
-                if repl is not None:
-                    out = finish_linear(
-                        repl, "linear", note=f"reused replacement from {sorted(sub)}"
-                    )
-                    if out:
-                        out["stated_witness_failed"] = list(map(list, mat.entries))
-                        return out
-        if allow_complement:
-            comp = complement_labels(tk, p)
-            if comp:
-                got = resolve(comp, allow_complement=False)
-                if got is not None:
-                    got["witness_kind"] = "complement-ref"
-                    got["complement_of"] = sorted(comp)
-                    return got
-        # last resort: exhaustive linear search on this union
-        repl = search_linear_witness(tokens, p)
-        if repl is not None:
-            return finish_linear(repl, "linear", note="found by exhaustive search")
-        return None
-
-    got = resolve(tokens, allow_complement=True)
-    if got is None:
-        raise CertificationFailed(
-            "not-digraph-group", "no verified witness", sorted(tokens)
+def _stated(tk: frozenset[str], p: int, searched: dict, reused: bool):
+    """The stated matrix of ``tk``, then, if it fails, its searched
+    replacement, which records the failed matrix."""
+    stated = Matrix(STATED_WITNESSES[(p, tk)], p)
+    rows = list(map(list, stated.entries))
+    yield "linear", stated, {"note": f"reused from {sorted(tk)}"} if reused else {}
+    repl = _search(tk, p, searched)
+    if repl is not None:
+        note = (
+            f"reused replacement from {sorted(tk)}"
+            if reused
+            else f"stated matrix {rows} does not preserve this union; "
+            "replaced by the minimal valid witness"
         )
-    return got
+        yield "linear", repl, {"note": note, "stated_witness_failed": rows}
+
+
+def _candidates(tk: frozenset[str], tokens: frozenset[str], p: int, searched: dict):
+    """Candidate witnesses for the union ``tokens``, in the published order.
+
+    Yields (kind, witness, extra): the witness is a ``Matrix`` A, acting as
+    (A, I), or the two block directions of a Hamming-side swap, and
+    ``extra`` holds its note and the fields its entry carries.  ``tk`` is
+    the union whose route is read: ``tokens``, or once its complement.  A
+    stated matrix, the product-group witness on B and a Hamming swap end
+    the list.  Every (A, I) preserves B, so the stated matrix of ``sub``
+    fails on B with ``sub`` exactly when it fails on ``sub``, and the
+    replacement of ``sub`` serves both.  The search of ``tokens`` comes
+    last, after the complement's routes.
+    """
+    if (p, tk) in STATED_WITNESSES:
+        yield from _stated(tk, p, searched, reused=False)
+        return
+    if tk == frozenset({"B"}):
+        yield "glgl-on-B", Matrix(GLGL_WITNESS, p), {}
+        return
+    dirs = hamming_capable(next(iter(tk)), p) if len(tk) == 1 else None
+    if dirs is not None:
+        yield "hamming", dirs, {}
+        return
+    sub = tk - {"B"}
+    if "B" in tk and (p, sub) in STATED_WITNESSES:
+        yield from _stated(sub, p, searched, reused=True)
+    if tk != tokens:
+        return
+    comp = complement_labels(tk, p)
+    for _, witness, extra in _candidates(comp, tokens, p, searched):
+        yield "complement-ref", witness, {**extra, "complement_of": sorted(comp)}
+    repl = _search(tokens, p, searched)
+    if repl is not None:
+        yield "linear", repl, {"note": "found by exhaustive search"}
 
 
 def certify_not_digraph_group(p: int, m: int) -> Certificate:
     """For every proper nonempty union of nontrivial orbitals, exhibit and
     machine-check an automorphism outside the group.
 
-    Each union's witness is built once and checked once on that union's
-    vertices; a replacement for a failed stated matrix is searched the
-    first time a union needs it and shared through a per-run cache, and so
-    is the label table of each linear witness's vertex map.
+    ``_candidates`` lists the witnesses to try, and one checker certifies
+    each on the union's own vertices; the first that passes is the union's
+    entry.  A replacement for a failed stated matrix is searched the first
+    time a union needs it, and the label table of a linear witness's vertex
+    map is built the first time it is checked; both are kept for the run.
     """
     num_vertices(m, p)  # the vertex gate, before any union is listed
     labels = nontrivial_labels(p)
-    unions = [
-        frozenset(c)
-        for r in range(1, len(labels))
-        for c in itertools.combinations(labels, r)
-    ]
+    unions = [frozenset(c) for r in range(1, len(labels)) for c in combinations(labels, r)]
+    codes, code_tokens = classify_all(m, p)
+    sizes = np.bincount(codes, minlength=len(code_tokens))
+    searched: dict = {}
+    tables: dict = {}
 
-    witness_cache: dict = {}
-    label_tables: dict = {}
-    entries = [
-        _certify_one_union(tk, m, p, witness_cache, label_tables) for tk in unions
-    ]
-    entries.sort(
-        key=lambda e: (len(e["connection_set_labels"]), e["connection_set_labels"])
-    )
+    def check(tokens, wanted, kind, witness, extra) -> dict | None:
+        """The entry of a witness that preserves the union and lies outside
+        the group, or None."""
+        extra = dict(extra)
+        if isinstance(witness, Matrix):
+            if witness not in tables:
+                tables[witness] = label_transitions(witness, m, p)
+            if tables[witness][wanted][:, ~wanted].any() or g0_contains(witness):
+                return None
+            data = {"matrix": list(map(list, witness.entries))}
+            checks = {"preserves_connection_set": True, "in_point_stabilizer": False}
+        else:
+            perm = hamming_witness(*witness, m, p)
+            na = perm.nonadditive_witness()
+            checks = {
+                "arc_preservation": perm.is_automorphism(orbital_union_set(tokens, m, p)),
+                "non_affine": na is not None,
+            }
+            if not all(checks.values()):
+                return None
+            data = {
+                "block_directions": [point_name(k, p) for k in witness],
+                "swapped_w_codes": [1, 2],
+                "nonadditive_pair": list(na),
+            }
+        if "note" in extra:
+            data["note"] = extra.pop("note")
+        return {
+            "claim": "union-has-automorphism-outside-group",
+            "connection_set_labels": sorted(tokens),
+            "connection_set_size": int(sizes[wanted].sum()),
+            "witness_kind": kind,
+            "witness_data": data,
+            "checks": checks,
+            "verified": True,
+            **extra,
+        }
+
+    entries = []
+    for tokens in unions:
+        wanted = np.array([t in tokens for t in code_tokens])
+        checked = (check(tokens, wanted, *c) for c in _candidates(tokens, tokens, p, searched))
+        entry = next(filter(None, checked), None)
+        if entry is None:
+            raise CertificationFailed("not-digraph-group", "no verified witness", sorted(tokens))
+        entries.append(entry)
+    entries.sort(key=lambda e: (len(e["connection_set_labels"]), e["connection_set_labels"]))
     counts: dict[str, int] = {}
     for e in entries:
         counts[e["witness_kind"]] = counts.get(e["witness_kind"], 0) + 1
@@ -486,7 +457,7 @@ def certify_not_digraph_group(p: int, m: int) -> Certificate:
     return Certificate(
         claim="not-digraph-group",
         parameters={"p": p, "m": m},
-        status="verified" if all(e["verified"] for e in entries) else "refuted",
+        status="verified",
         evidence={
             "unions_checked": len(entries),
             "expected_unions": 2 ** len(labels) - 2,

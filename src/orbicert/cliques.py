@@ -99,10 +99,15 @@ def pi_functional(cfg: MuConfig, i: int) -> tuple[int, int]:
 
 
 def projection_coeffs(i: int, j: int, k: int, cfg: MuConfig) -> tuple[int, int]:
-    """Coefficients with pi_k = k1 pi_i + k2 pi_j identically.
+    """Coefficients with pi_k = k1 pi_i + k2 pi_j identically, from the slopes.
 
-    The functionals of distinct indices are independent, so the 2x2 solve
-    is always possible; when i, j, k are pairwise distinct both
+    With i' the partner of i, pi_i = (mu_i', -1) / (mu_i' - mu_i), so
+
+        k1 = (mu_i' - mu_i)(mu_k' - mu_j') / ((mu_k' - mu_k)(mu_i' - mu_j'))
+        k2 = (mu_j' - mu_j)(mu_i' - mu_k') / ((mu_k' - mu_k)(mu_i' - mu_j')).
+
+    Not being solved from ``pi_functional``, they let the relations check
+    it.  For i, j, k pairwise distinct so are i', j', k', and both
     coefficients are nonzero.
     """
     if i == j:
@@ -111,14 +116,11 @@ def projection_coeffs(i: int, j: int, k: int, cfg: MuConfig) -> tuple[int, int]:
         return 1, 0
     if k == j:
         return 0, 1
-    ai, bi = pi_functional(cfg, i)
-    aj, bj = pi_functional(cfg, j)
-    ak, bk = pi_functional(cfg, k)
-    p = cfg.p
-    det = (ai * bj - aj * bi) % p
-    dinv = fp_inv(det, p)
-    k1 = (ak * bj - aj * bk) * dinv % p
-    k2 = (ai * bk - ak * bi) * dinv % p
+    p, mu = cfg.p, cfg.mu
+    qi, qj, qk = (mu(cfg.partner(t)) for t in (i, j, k))  # mu_i', mu_j', mu_k'
+    dinv = fp_inv((qk - mu(k)) * (qi - qj) % p, p)
+    k1 = (qi - mu(i)) * (qk - qj) * dinv % p
+    k2 = (qj - mu(j)) * (qi - qk) * dinv % p
     return k1, k2
 
 

@@ -282,6 +282,51 @@ def test_a_broken_hamming_witness_is_never_verified(monkeypatch):
         certify_not_digraph_group(p, m)
 
 
+DIHEDRAL = ((1, 0), (0, -1))
+
+
+def test_a_dihedral_product_group_witness_fails_the_union_b(monkeypatch):
+    # (A, I) with A dihedral preserves B but lies in the group
+    monkeypatch.setattr("orbicert.certify.GLGL_WITNESS", DIHEDRAL)
+    with pytest.raises(CertificationFailed, match="no verified witness") as err:
+        certify_not_digraph_group(5, 2)
+    assert err.value.detail == ["B"]
+    assert str(err.value).endswith("-- ['B']")
+
+
+def test_a_dihedral_stated_witness_without_a_replacement_fails_its_union(monkeypatch):
+    union = frozenset({"A", "L1"})
+    monkeypatch.setitem(STATED_WITNESSES, (5, union), DIHEDRAL)
+    monkeypatch.setattr("orbicert.certify.search_linear_witness", lambda tokens, p: None)
+    with pytest.raises(CertificationFailed, match="no verified witness") as err:
+        certify_not_digraph_group(5, 2)
+    assert err.value.detail == ["A", "L1"]
+
+
+def test_without_stated_witnesses_the_search_certifies_the_pairs(monkeypatch):
+    # the complement's routes are tried first; the search of the union
+    # itself comes after them and is labelled as its own witness
+    monkeypatch.setattr("orbicert.certify.STATED_WITNESSES", {})
+    cert = certify_not_digraph_group(5, 2)
+    assert cert.status == "verified"
+    assert cert.evidence["witness_kinds"] == {
+        "hamming": 3,
+        "glgl-on-B": 1,
+        "linear": 6,
+        "complement-ref": 4,
+    }
+    for entry in cert.evidence["unions"]:
+        labels = entry["connection_set_labels"]
+        if entry["witness_kind"] == "complement-ref":
+            assert len(labels) == 3 and len(entry["complement_of"]) == 1
+        if entry["witness_kind"] != "linear":
+            continue
+        assert len(labels) == 2 and "complement_of" not in entry
+        assert entry["witness_data"]["note"] == "found by exhaustive search"
+        found = search_linear_witness(labels, 5)
+        assert entry["witness_data"]["matrix"] == list(map(list, found.entries))
+
+
 def _proper_unions(p):
     labels = nontrivial_labels(p)
     return [

@@ -514,6 +514,26 @@ def test_pinned_hashes(capsys, command, expected):
     assert json.loads(out)["content_hash"] == expected
 
 
+def test_the_benchmark_tracer_runs_a_command(tmp_path):
+    # the tracer wraps the layer modules that `import orbicert.cli` loads
+    # and raises if one is missing; its coverage depends on timing
+    root = Path(__file__).resolve().parents[1]
+    trace = tmp_path / "trace.json"
+    argv = ["rank", "--p", "13", "--format", "json", "--seed", "1729"]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    run = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(trace), "--", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=root,
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["content_hash"] == REFERENCE["desk"]["rank --p 13"]
+    assert "cli.main" in json.loads(trace.read_text())["spans"]
+
+
 # --- fuzzed argv: every subcommand and lemma, valid and invalid values
 
 SUBCOMMANDS = (

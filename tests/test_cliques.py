@@ -307,8 +307,8 @@ def use_functionals(monkeypatch, edit):
 
 
 def pin_coefficients(monkeypatch, cfg):
-    """Keep the relation coefficients of the true functionals, whatever
-    ``pi_functional`` returns later."""
+    """Keep the relation coefficients of the true pair partners, whatever
+    ``MuConfig.partner`` returns later."""
     real = {
         (i, j, k): projection_coeffs(i, j, k, cfg)
         for i, j in permutations(cfg.index_set, 2)
@@ -320,8 +320,9 @@ def pin_coefficients(monkeypatch, cfg):
 @pytest.mark.parametrize("cfg", [CFG5, CFG13], ids=["p5", "p13"])
 def test_one_wrong_entry_of_pi_3_fails_the_relations(monkeypatch, cfg):
     # beta is row 1 of the factor P_3: rows m .. 2m - 1 of Pi_3, first
-    # the basis vector e_m, vertex p^m
-    pin_coefficients(monkeypatch, cfg)
+    # the basis vector e_m, vertex p^m.  The coefficients come from the
+    # slopes, not from the functionals under check, so the relations fail
+    # before the reconstruction of the pair (3, 4)
     use_functionals(monkeypatch, lambda i, ab: (ab[0], ab[1] + 1) if i == 3 else ab)
     with pytest.raises(LemmaViolation) as err:
         verify_clique_axioms(cfg)
@@ -415,7 +416,8 @@ def changed_coefficient(monkeypatch, cfg):
 CLIQUE_MUTATIONS = {
     "valid": (None, None),
     "swapped-slope-1-2": (swap_slopes(1, 2), "reconstruction"),
-    "swapped-slope-3-4": (swap_slopes(3, 4), "reconstruction"),
+    # pi_3 and pi_4 are exchanged; the coefficients come from the true slopes
+    "swapped-slope-3-4": (swap_slopes(3, 4), "projection-relations"),
     "wrong-partner": (wrong_partner, "adjacency-shared-projection"),
     "changed-coefficient": (changed_coefficient, "projection-relations"),
 }
