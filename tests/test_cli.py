@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -104,7 +105,7 @@ def test_verify_two_closed(capsys):
 def test_invalid_config_exit_2(capsys):
     code, _, err = run_cli(capsys, "verify", "lemma", "no-such-lemma", "--p", "5")
     assert code == 2
-    assert "unknown lemma" in err
+    assert "invalid choice: 'no-such-lemma'" in err
     code, _, err = run_cli(capsys, "rank")
     assert code == 2
     code, _, err = run_cli(capsys, "verify", "cliques", "--p", "5", "--mu", "1,2,3")
@@ -119,11 +120,67 @@ def test_invalid_config_exit_2(capsys):
         ("scan", "--max-prime", "4"),
         ("verify", "cliques", "--p", "7", "--mu", "1,x,3,4"),
         ("verify", "lemma", "table3", "--p", "5"),
+        # argument errors: argparse would print a usage block and raise SystemExit
+        ("rank", "--p", "x"),
+        ("rank", "--foo", "1"),
+        ("verify",),
+        (),
+        ("verify", "lemma"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1, argv
+
+
+# a value of each flag that some command reads, as argparse accepts it
+FLAG_VALUES = {"--p": "13", "--m": "2", "--z": "4", "--mu": "1,2,3,4", "--max-prime": "500"}
+
+
+def accepted(line):
+    return (cli.COMMANDS[line].reads + " " + cli.SHARED).split()
+
+
+@pytest.mark.parametrize(
+    "line, flag",
+    [
+        pytest.param(line, flag, id=f"{line} {flag}")
+        for line in cli.COMMANDS
+        for flag in cli.FLAGS
+        if flag not in accepted(line)
+    ],
+)
+def test_a_flag_that_the_command_does_not_read_exits_2(capsys, line, flag):
+    # `verify theorem-q5 --p 7` used to verify p = 5 under run_config "p": 7
+    required = [a for f in cli.COMMANDS[line].requires.split() for a in (f, FLAG_VALUES[f])]
+    code, out, err = run_cli(capsys, *line.split(), *required, flag, FLAG_VALUES[flag])
+    assert code == 2 and out == ""
+    assert err == f"error: {line} does not read {flag}\n"
+
+
+FLAG_CELL = re.compile(r"`(--[a-z-]+)`")
+
+
+def test_the_readme_lists_the_command_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for row in section.splitlines():
+        if row.startswith("| `"):
+            line, reads, requires = (cell.strip() for cell in row.strip("|").split("|"))
+            rows[line.strip("`")] = (FLAG_CELL.findall(reads), FLAG_CELL.findall(requires))
+    assert rows == {
+        line: (row.reads.split(), row.requires.split()) for line, row in cli.COMMANDS.items()
+    }
+    assert all(f"`{flag}" in section for flag in cli.SHARED.split())
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "theorem-q5", "--help"])
+    assert exit_.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "not a digraph group at p = 5; reads --m, requires none" in out
 
 
 def test_cross_ratio_table_needs_six_points(capsys):
@@ -406,17 +463,17 @@ def test_a_non_dihedral_collineation_fails_table3_under_python_O():
 
 
 def test_lemmas_are_timed():
-    for cfg in (
-        cli.RunConfig(command="cliques", p=7, z=4, mus=(2, 3, 4, 5)),
-        cli.RunConfig(command="rank", p=13),
-        cli.RunConfig(command="scan"),
-        cli.RunConfig(command="two-closed", p=5),
-        cli.RunConfig(command="theorem-q5"),
-        cli.RunConfig(command="q17"),
+    for line, cfg in (
+        ("verify cliques", cli.RunConfig(command="cliques", p=7, z=4, mus=(2, 3, 4, 5))),
+        ("rank", cli.RunConfig(command="rank", p=13)),
+        ("scan", cli.RunConfig(command="scan")),
+        ("verify two-closed", cli.RunConfig(command="two-closed", p=5)),
+        ("verify theorem-q5", cli.RunConfig(command="theorem-q5")),
+        ("verify q17", cli.RunConfig(command="q17")),
     ):
-        (cert,) = cli.dispatch(cfg)
-        assert cert.status == "verified", cfg.command
-        assert cert.elapsed_ms > 0, cfg.command
+        (cert,) = cli.dispatch(line, cfg)
+        assert cert.status == "verified", line
+        assert cert.elapsed_ms > 0, line
 
 
 def test_infinity_is_written_inf_in_the_hamming_evidence(capsys):
@@ -514,12 +571,22 @@ def test_pinned_hashes(capsys, command, expected):
     assert json.loads(out)["content_hash"] == expected
 
 
-def test_the_benchmark_tracer_runs_a_command(tmp_path):
+@pytest.mark.parametrize(
+    "command, workload, span",
+    [
+        ("rank --p 13", "desk", "groups.rank_of"),
+        ("verify theorem-q13", "witness", "certify.certify_not_digraph_group"),
+    ],
+    ids=["rank --p 13", "verify theorem-q13"],
+)
+def test_the_benchmark_tracer_runs_a_command(tmp_path, command, workload, span):
     # the tracer wraps the layer modules that `import orbicert.cli` loads
-    # and raises if one is missing; its coverage depends on timing
+    # and raises if one is missing; its coverage depends on timing.  It
+    # rebinds each layer function at every module attribute, so a command
+    # row that held the function object itself would lose that function's span
     root = Path(__file__).resolve().parents[1]
     trace = tmp_path / "trace.json"
-    argv = ["rank", "--p", "13", "--format", "json", "--seed", "1729"]
+    argv = [*command.split(), "--format", "json", "--seed", "1729"]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     run = subprocess.run(
         [sys.executable, str(root / "perfbench" / "tracer.py"), str(trace), "--", *argv],
@@ -530,29 +597,17 @@ def test_the_benchmark_tracer_runs_a_command(tmp_path):
         timeout=60,
     )
     assert run.returncode == 0, run.stderr
-    assert json.loads(run.stdout)["content_hash"] == REFERENCE["desk"]["rank --p 13"]
-    assert "cli.main" in json.loads(trace.read_text())["spans"]
+    assert json.loads(run.stdout)["content_hash"] == REFERENCE[workload][command]
+    spans = json.loads(trace.read_text())["spans"]
+    assert "cli.main" in spans
+    assert spans[span][0] >= 1
 
 
 # --- fuzzed argv: every subcommand and lemma, valid and invalid values
 
 SUBCOMMANDS = (
-    ("rank",),
-    ("suborbits",),
-    ("scan",),
-    *(
-        ("verify", name)
-        for name in (
-            "two-closed",
-            "theorem-q5",
-            "theorem-q7",
-            "theorem-q13",
-            "q17",
-            "cross-ratio-table",
-            "cliques",
-        )
-    ),
-    *(("verify", "lemma", name) for name in (*sorted(cli._lemma_registry()), "no-such-lemma")),
+    *(tuple(line.split()) for line in cli.COMMANDS),
+    ("verify", "lemma", "no-such-lemma"),
 )
 # p near 2^31 is left out: `rank` builds p - 1 classes, hours of work
 NOT_ODD_PRIMES = (-7, 0, 1, 2, 4, 9)
@@ -562,7 +617,7 @@ SLOPES = ("1,2,3,4", "2,3,4,5", "1,2,3,4,5,6", "1,1,3,4", "1,2,3", "0,5,10,15", 
 
 @st.composite
 def argvs(draw):
-    """An argv, each flag given or not, and its --p (None if left out)."""
+    """An argv: a command, then each flag given or not, whether it reads it or not."""
     argv = list(draw(st.sampled_from(SUBCOMMANDS)))
     values = {
         "--p": st.sampled_from(MODULI),
@@ -570,28 +625,45 @@ def argvs(draw):
         "--mu": st.sampled_from(SLOPES),
         "--z": st.sampled_from((0, 4, 6)),
         "--max-prime": st.sampled_from(MODULI),
+        "--seed": st.integers(-1, 2**32),
+        "--jobs": st.integers(0, 3),
         "--format": st.sampled_from(("text", "json")),
     }
-    given = {flag: draw(values[flag]) for flag in values if draw(st.booleans())}
-    argv += [f"{flag}={value}" for flag, value in given.items()]  # "--mu=-1,..." is a value
-    return argv, given.get("--p")
+    line = " ".join(argv)
+    reads = accepted(line) if line in cli.COMMANDS else ()
+    # a flag the command does not read is drawn less often, so that most
+    # runs get past it
+    unread = st.sampled_from((True, False, False, False))
+    given = {
+        flag: draw(values[flag])
+        for flag in values
+        if draw(st.booleans() if flag in reads else unread)
+    }
+    return argv + [f"{flag}={value}" for flag, value in given.items()]  # "--mu=-1,..." is a value
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # any exception fails the test
+    return code, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(argvs())
-@example((["rank", "--p=13"], 13))
-@example((["suborbits", "--p=7", "--format=json"], 7))
-@example((["scan", "--max-prime=13"], None))
-@example((["verify", "cliques", "--p=7", "--mu=2,3,4,5", "--z=4"], 7))
-@example((["verify", "two-closed", "--p=5"], 5))
-@example((["verify", "cross-ratio-table", "--p=11"], 11))
-@example((["verify", "lemma", "hamming-i", "--p=13", "--m=3"], 13))
-def test_fuzzed_argv_exits_0_1_or_2_and_never_verifies_a_bad_modulus(case):
-    argv, p = case
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)  # any exception fails the test
-    out, err = out.getvalue(), err.getvalue()
+@example(["rank", "--p=13"])
+@example(["suborbits", "--p=7", "--format=json"])
+@example(["scan", "--max-prime=13"])
+@example(["verify", "cliques", "--p=7", "--mu=2,3,4,5", "--z=4"])
+@example(["verify", "two-closed", "--p=5", "--seed=7", "--jobs=2"])
+@example(["verify", "cross-ratio-table", "--p=11"])
+@example(["verify", "lemma", "hamming-i", "--p=13", "--m=3"])
+@example(["verify", "theorem-q5", "--p=7"])
+@example(["verify", "q17", "--p=5", "--mu=1,2,3,4", "--jobs=0"])
+def test_fuzzed_argv_exits_0_1_or_2_and_never_verifies_a_bad_modulus(argv):
+    line = " ".join(a for a in argv if not a.startswith("--"))
+    given = dict(a.split("=", 1) for a in argv if a.startswith("--"))
+    code, out, err = run_quietly(argv)
     assert code in (0, 1, 2), argv
     if code == 0:
         assert out and err == "", argv
@@ -599,5 +671,15 @@ def test_fuzzed_argv_exits_0_1_or_2_and_never_verifies_a_bad_modulus(case):
         assert err.startswith(("error:", "FAILED:")), argv
     if code == 2:
         assert out == "" and err.count("\n") == 1, argv
-    if p in NOT_ODD_PRIMES:
+    unread = [f for f in given if line in cli.COMMANDS and f not in accepted(line)]
+    if unread:
         assert code == 2, argv
+        prefix = f"error: {line} does not read "
+        assert err.startswith(prefix), argv
+        assert set(err[len(prefix) :].rstrip("\n").split(", ")) == set(unread), argv
+    if given.get("--p") in {str(p) for p in NOT_ODD_PRIMES} or given.get("--jobs") == "0":
+        assert code == 2, argv
+    if code == 2 and given.get("--jobs") != "0":
+        # neither --seed nor a valid --jobs is what the command refused
+        kept = [a for a in argv if not a.startswith(("--seed=", "--jobs="))]
+        assert run_quietly(kept) == (code, out, err), argv

@@ -50,8 +50,8 @@ def test_mixed_status_summary():
 
 def test_json_determinism_includes_timing_normalization():
     # the command front end times each certificate
-    (a,) = dispatch(RunConfig(command="scan", max_prime=100))
-    (b,) = dispatch(RunConfig(command="scan", max_prime=100))
+    (a,) = dispatch("scan", RunConfig(command="scan", max_prime=100))
+    (b,) = dispatch("scan", RunConfig(command="scan", max_prime=100))
     assert a.elapsed_ms != 0
     out1 = emit_report([a], "json", {"seed": 1})
     out2 = emit_report([b], "json", {"seed": 1})
